@@ -87,9 +87,10 @@ int main(int argc, char** argv) {
       "  duration quantiles:\n\n%s",
       static_cast<unsigned long long>(report.seed),
       report.trials_per_scenario, report.to_table().c_str());
-  if ((!opts.out.empty() || opts.json) &&
-      !campaign::write_report(opts, report)) {
-    return 1;
+  if (!opts.out.empty() || opts.json) {
+    if (!campaign::write_report(opts, report)) return 1;
+  } else if (opts.metrics) {
+    std::printf("%s", campaign::metrics_table().c_str());
   }
   return 0;
 }

@@ -100,9 +100,10 @@ int main(int argc, char** argv) {
   std::printf(
       "\n  Shape checks: P2 >= P1 everywhere; both shrink as m grows;\n"
       "  choosing which servers to remove (P2) helps most at odd m.\n");
-  if ((!opts.out.empty() || opts.json) &&
-      !campaign::write_report(opts, report)) {
-    return 1;
+  if (!opts.out.empty() || opts.json) {
+    if (!campaign::write_report(opts, report)) return 1;
+  } else if (opts.metrics) {
+    std::printf("%s", campaign::metrics_table().c_str());
   }
   return 0;
 }

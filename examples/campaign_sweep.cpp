@@ -82,6 +82,7 @@ int main(int argc, char** argv) {
         "The sweep's shape mirrors the paper: fragmentation needs a small\n"
         "attack MTU, the run-time attack leans on the rate-limiting\n"
         "fraction, and shorter pool TTLs shrink the poisoning window.\n");
+    if (opts.metrics) std::printf("%s", campaign::metrics_table().c_str());
   } else if (!campaign::write_report(opts, report)) {
     return 1;
   }

@@ -87,25 +87,6 @@ std::string metrics_json() {
   return out;
 }
 
-/// The --metrics section for table reports.
-std::string metrics_table() {
-  std::string out = "\n== metrics ==\n";
-  out += obs::Registry::instance().snapshot().to_table();
-  const BufferPool::Stats s = BufferPool::aggregate_stats();
-  char line[256];
-  std::snprintf(line, sizeof line,
-                "buffer pool: hits=%llu fresh=%llu oversize=%llu "
-                "outstanding=%llu cached=%llu blocks / %llu bytes\n",
-                static_cast<unsigned long long>(s.pool_hits),
-                static_cast<unsigned long long>(s.fresh_allocs),
-                static_cast<unsigned long long>(s.oversize_allocs),
-                static_cast<unsigned long long>(s.outstanding),
-                static_cast<unsigned long long>(s.cached_blocks),
-                static_cast<unsigned long long>(s.cached_bytes));
-  out += line;
-  return out;
-}
-
 }  // namespace
 
 CliOptions parse_cli(int argc, char** argv, CliOptions defaults,
@@ -345,6 +326,24 @@ CliOptions parse_cli(int argc, char** argv, CliOptions defaults,
     return fail();
   }
   return opts;
+}
+
+std::string metrics_table() {
+  std::string out = "\n== metrics ==\n";
+  out += obs::Registry::instance().snapshot().to_table();
+  const BufferPool::Stats s = BufferPool::aggregate_stats();
+  char line[256];
+  std::snprintf(line, sizeof line,
+                "buffer pool: hits=%llu fresh=%llu oversize=%llu "
+                "outstanding=%llu cached=%llu blocks / %llu bytes\n",
+                static_cast<unsigned long long>(s.pool_hits),
+                static_cast<unsigned long long>(s.fresh_allocs),
+                static_cast<unsigned long long>(s.oversize_allocs),
+                static_cast<unsigned long long>(s.outstanding),
+                static_cast<unsigned long long>(s.cached_blocks),
+                static_cast<unsigned long long>(s.cached_bytes));
+  out += line;
+  return out;
 }
 
 bool write_report(const CliOptions& opts, const CampaignReport& report) {

@@ -68,4 +68,9 @@ struct CliOptions {
 [[nodiscard]] bool write_report(const CliOptions& opts,
                                 const CampaignReport& report);
 
+/// The table-form --metrics section ("== metrics ==" block) that
+/// write_report appends. For tools that print their own table report to
+/// stdout and so only call write_report for --out/--json.
+[[nodiscard]] std::string metrics_table();
+
 }  // namespace dnstime::campaign

@@ -1,8 +1,10 @@
 #include "scenario/population.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <memory>
+#include <utility>
 
 #include "ntp/packet.h"
 #include "obs/counters.h"
@@ -45,6 +47,7 @@ ClientPopulation::ClientPopulation(World& world, PopulationConfig config)
   dns_expiry_s_.assign(n, 0);
   poll_s_.assign(n, static_cast<u16>(config_.poll_s));
   flags_.assign(n, 0);
+  ring_.resize(std::bit_ceil(config_.max_poll_s + 1));
 
   // Stagger the first polls uniformly across one poll interval so the
   // fleet settles into ~clients/poll_s cohorts per grid second instead of
@@ -79,7 +82,9 @@ u64 ClientPopulation::now_s() const {
 }
 
 void ClientPopulation::arm(u32 i, u64 delay_s) {
-  queue_.push(at_second(now_s() + delay_s), i);
+  const u64 s = now_s() + delay_s;
+  bucket(s).push_back(i);
+  if (ring_len_++ == 0 || s < head_s_) head_s_ = s;
 }
 
 void ClientPopulation::backoff(u32 i) {
@@ -90,20 +95,20 @@ void ClientPopulation::backoff(u32 i) {
 }
 
 void ClientPopulation::rearm_driver() {
-  const sim::WheelEntry* top = queue_.peek();
-  if (top == nullptr) {
+  if (ring_len_ == 0 && ready_.empty()) {
     if (driver_armed_) {
       driver_.cancel();
       driver_armed_ = false;
     }
     return;
   }
+  sim::Time at = ring_len_ > 0 ? at_second(head_s_) : ready_at_;
+  if (!ready_.empty() && ready_at_ < at) at = ready_at_;
   // An already-armed driver that fires at or before the new head still
   // works (an early pump pops nothing and re-arms); only a head that moved
   // *earlier* forces a reschedule.
-  if (driver_armed_ && driver_.valid() && driver_at_ <= top->at) return;
+  if (driver_armed_ && driver_.valid() && driver_at_ <= at) return;
   if (driver_armed_) driver_.cancel();
-  sim::Time at = top->at;
   const sim::Time now = world_.loop().now();
   if (at < now) at = now;
   driver_ = world_.loop().schedule_at(at, [this] { pump(); });
@@ -113,16 +118,25 @@ void ClientPopulation::rearm_driver() {
 
 void ClientPopulation::pump() {
   driver_armed_ = false;  // our handle just fired
-  const sim::Time now = world_.loop().now();
-  due_scratch_.clear();
-  while (const sim::WheelEntry* top = queue_.peek()) {
-    if (top->at > now) break;
-    sim::WheelEntry e;
-    queue_.pop(e);
-    due_scratch_.push_back(e.payload);
-  }
-
   const u64 s = now_s();
+  // The ring invariant leaves nothing queued before this second, and the
+  // ready list was filled at this very instant, after every push into this
+  // second's bucket; so (time, insertion) order is: the bucket, then the
+  // ready list.
+  due_scratch_.clear();
+  if (ring_len_ > 0 && head_s_ == s) {
+    ring_len_ -= bucket(s).size();
+    // Hand the bucket's buffer over instead of copying, so capacity tracks
+    // the live cohorts rather than parking in every bucket.
+    due_scratch_ = std::exchange(bucket(s), {});
+    if (ring_len_ > 0) {
+      while (bucket(++head_s_).empty()) {
+      }
+    }
+  }
+  due_scratch_.insert(due_scratch_.end(), ready_.begin(), ready_.end());
+  ready_.clear();
+
   std::vector<u32> polls;
   polls.reserve(due_scratch_.size());
   for (u32 i : due_scratch_) {
@@ -150,8 +164,8 @@ void ClientPopulation::pump() {
 
 void ClientPopulation::dispatch_polls(std::vector<u32>& due) {
   if (due.empty()) return;
-  // Group by assigned server. stable_sort keeps the wheel's (time, seq)
-  // pop order within a group, so batch membership is deterministic.
+  // Group by assigned server. stable_sort keeps the (time, insertion) pop
+  // order within a group, so batch membership is deterministic.
   std::stable_sort(due.begin(), due.end(), [this](u32 a, u32 b) {
     return server_[a] < server_[b];
   });
@@ -260,7 +274,6 @@ void ClientPopulation::on_dns(const std::vector<dns::ResourceRecord>& answers) {
     for (u32 i : waiters) backoff(i);
   } else {
     const u64 s = now_s();
-    const sim::Time now = world_.loop().now();
     // Refresh the fleet-level answer cache; later cohorts are assigned
     // from it without re-querying until the shortest A TTL rolls over.
     cached_a_.clear();
@@ -274,8 +287,9 @@ void ClientPopulation::on_dns(const std::vector<dns::ResourceRecord>& answers) {
     for (u32 i : waiters) {
       server_[i] = cached_a_[cache_next_++ % cached_a_.size()];
       dns_expiry_s_[i] = cache_expiry_s_;
-      queue_.push(now, i);  // poll immediately on the fresh assignment
+      ready_.push_back(i);  // poll immediately on the fresh assignment
     }
+    ready_at_ = world_.loop().now();
   }
   maybe_resolve();  // waiters queued while the query was in flight
   rearm_driver();
@@ -342,7 +356,9 @@ double ClientPopulation::resident_bytes_per_client() const {
                       dns_waiters_.capacity() * sizeof(u32) +
                       due_scratch_.capacity() * sizeof(u32) +
                       cached_a_.capacity() * sizeof(u32) +
-                      queue_.memory_bytes();
+                      ring_.capacity() * sizeof(std::vector<u32>) +
+                      ready_.capacity() * sizeof(u32);
+  for (const std::vector<u32>& b : ring_) bytes += b.capacity() * sizeof(u32);
   return static_cast<double>(bytes) / static_cast<double>(config_.clients);
 }
 

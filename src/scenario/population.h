@@ -5,10 +5,18 @@
 // allocations per client before the first packet moves. ClientPopulation
 // instead keeps the whole fleet as flat struct-of-arrays state — one
 // server address, one accumulated clock shift, one DNS expiry, one poll
-// interval and one flags byte per client — and drives every poll deadline
-// through a sim::WheelQueue with the client index as the payload
-// (src/sim/timer_wheel.h): O(1) placement, ~24 B per armed timer, no
-// callbacks.
+// interval and one flags byte per client — and keeps every poll deadline
+// in a per-second calendar ring of client indices: no callbacks and no
+// per-entry time. The fleet costs ~25 B per client resident: 19 B of SoA
+// state plus the ring's bucket capacity.
+//
+// The ring has a power-of-two number of one-second buckets, more than
+// max_poll_s. Its invariant: every queued second lies within max_poll_s of
+// now (arm() targets now + [1, max_poll_s] whole seconds, and the driver
+// drains each bucket at its own second), so a bucket is never shared by
+// two live seconds. The one off-grid re-arm — a DNS waiter polling the
+// instant the shared answer lands — happens only at the current instant
+// and goes to a small ready list drained right after that second's bucket.
 //
 // The fleet still speaks the real protocols. Clients whose polls land in
 // the same whole second of simulated time (deadlines are quantised to a
@@ -27,10 +35,10 @@
 // population-scale version of the paper's shared-resolver amplification
 // (§VIII-B3: one cache entry redirects every client behind the resolver).
 //
-// Determinism: deadlines pop from the wheel in (time, insertion) order,
-// batching sorts by server address with std::stable_sort, gateways rotate
-// round-robin, and the only randomness is the seeded Rng that staggers
-// initial polls. Equal seeds give byte-equal fleet state at any point.
+// Determinism: deadlines pop in (time, insertion) order, batching sorts
+// by server address with std::stable_sort, gateways rotate round-robin,
+// and the only randomness is the seeded Rng that staggers initial polls.
+// Equal seeds give byte-equal fleet state at any point.
 #pragma once
 
 #include <string>
@@ -40,7 +48,7 @@
 #include "dns/resolver.h"
 #include "ntp/poll_policy.h"
 #include "scenario/world.h"
-#include "sim/timer_wheel.h"
+#include "sim/event_loop.h"
 
 namespace dnstime::scenario {
 
@@ -101,7 +109,7 @@ class ClientPopulation {
   /// Fraction of clients currently assigned an attacker NTP server.
   [[nodiscard]] double fraction_on_attacker() const;
 
-  /// Resident heap bytes of fleet state (SoA vectors + timer wheel),
+  /// Resident heap bytes of fleet state (SoA vectors + deadline ring),
   /// amortised per client. The population budget is <= 64 B/client.
   [[nodiscard]] double resident_bytes_per_client() const;
 
@@ -115,15 +123,18 @@ class ClientPopulation {
         sim::detail::sat_mul(static_cast<i64>(s), 1'000'000'000));
   }
   [[nodiscard]] u64 now_s() const;
+  [[nodiscard]] std::vector<u32>& bucket(u64 s) {
+    return ring_[s & (ring_.size() - 1)];
+  }
 
   /// Arm client i's next poll `delay_s` whole seconds from now (grid-
   /// quantised, so co-due clients batch).
   void arm(u32 i, u64 delay_s);
   void backoff(u32 i);
 
-  /// Driver: pops every due wheel entry, groups the due clients, sends
-  /// the representative exchanges / the shared DNS query, re-arms itself
-  /// at the wheel's next deadline.
+  /// Driver: drains the current second's bucket and the ready list, groups
+  /// the due clients, sends the representative exchanges / the shared DNS
+  /// query, re-arms itself at the next deadline.
   void pump();
   void rearm_driver();
   void dispatch_polls(std::vector<u32>& due);
@@ -156,7 +167,12 @@ class ClientPopulation {
   std::vector<u16> poll_s_;       ///< current poll interval, seconds
   std::vector<u8> flags_;
 
-  sim::WheelQueue queue_;  ///< payload = client index
+  // --- poll deadlines (the calendar ring) -----------------------------
+  std::vector<std::vector<u32>> ring_;  ///< pow2 buckets of client indices
+  u64 ring_len_ = 0;  ///< clients queued in the ring
+  u64 head_s_ = 0;    ///< earliest queued second (valid when ring_len_ > 0)
+  std::vector<u32> ready_;  ///< off-grid re-arms, all due at ready_at_
+  sim::Time ready_at_;
   sim::EventHandle driver_;
   sim::Time driver_at_;
   bool driver_armed_ = false;

@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
 #include <tuple>
 
 #include "attack/cache_poisoner.h"
+#include "campaign/trial.h"
 
 namespace dnstime::scenario {
 namespace {
@@ -120,9 +123,95 @@ TEST(ClientPopulation, ResidentMemoryStaysUnderBudget) {
   ClientPopulation pop(world, small_config(50'000, 21));
   world.run_for(Duration::seconds(150));
   EXPECT_LE(pop.resident_bytes_per_client(), 64.0)
-      << "flat SoA state plus wheel entries must stay within the "
+      << "flat SoA state plus the deadline ring must stay within the "
          "64 B/client population budget";
   EXPECT_GT(pop.metrics().polls, 0u);
+}
+
+// --- exact-value pins ------------------------------------------------------
+// The fleet's whole behaviour hangs off the order in which poll deadlines
+// pop: (time, insertion) order decides batch membership, gateway rotation
+// and therefore every rate-limiter token and discipline outcome. These
+// pins hold the exact trial results and fleet counters, so any change to
+// the deadline queue that reorders a single poll shows up here.
+
+/// Round-trip-exact rendering of every deterministic TrialResult field.
+std::string pin(const campaign::TrialResult& r) {
+  char buf[256];
+  std::snprintf(buf, sizeof buf,
+                "success=%d duration_s=%.17g clock_shift_s=%.17g "
+                "metric=%.17g fragments=%llu replants=%llu",
+                r.success ? 1 : 0, r.duration_s, r.clock_shift_s, r.metric,
+                static_cast<unsigned long long>(r.fragments_planted),
+                static_cast<unsigned long long>(r.replant_rounds));
+  return buf;
+}
+
+std::string run_pinned(const campaign::ScenarioSpec& spec, u64 seed) {
+  campaign::TrialContext ctx;
+  ctx.seed = seed;
+  const campaign::TrialResult r = campaign::run_trial(spec, ctx);
+  EXPECT_TRUE(r.error.empty()) << r.error;
+  return pin(r);
+}
+
+TEST(ClientPopulationPin, SharedResolverTrialResults) {
+  const campaign::ScenarioSpec spec =
+      campaign::population_shared_resolver_scenario(2'000);
+  EXPECT_EQ(run_pinned(spec, 1),
+            "success=1 duration_s=270 clock_shift_s=-288.74999986231325 "
+            "metric=0.57750000000000001 fragments=144 replants=9");
+  EXPECT_EQ(run_pinned(spec, 2),
+            "success=1 duration_s=260 clock_shift_s=-329.49999984288218 "
+            "metric=0.65900000000000003 fragments=144 replants=9");
+  EXPECT_EQ(run_pinned(spec, 3),
+            "success=1 duration_s=270 clock_shift_s=-296.249999858737 "
+            "metric=0.59250000000000003 fragments=144 replants=9");
+}
+
+TEST(ClientPopulationPin, RatelimitHerdTrialResults) {
+  const campaign::ScenarioSpec spec =
+      campaign::population_ratelimit_herd_scenario(2'000);
+  EXPECT_EQ(run_pinned(spec, 1),
+            "success=1 duration_s=320 clock_shift_s=0 "
+            "metric=0.57500888730892286 fragments=0 replants=0");
+  EXPECT_EQ(run_pinned(spec, 2),
+            "success=1 duration_s=320 clock_shift_s=0 "
+            "metric=0.58302122347066165 fragments=0 replants=0");
+  EXPECT_EQ(run_pinned(spec, 3),
+            "success=1 duration_s=320 clock_shift_s=0 "
+            "metric=0.57498223169864959 fragments=0 replants=0");
+}
+
+TEST(ClientPopulationPin, SaturatedBackoffFleetState) {
+  // Every server rate-limits with KoD, so backoff saturates at
+  // max_poll_s = 4: no deadline sits more than 4 s out, the deadline queue
+  // wraps its short horizon many times over 600 s, and each TTL rollover
+  // re-arms the DNS waiters at the off-grid instant the answer lands.
+  WorldConfig wc;
+  wc.seed = 17;
+  wc.pool_size = 2;
+  wc.rate_limit_fraction = 1.0;
+  wc.kod_fraction = 1.0;
+  World world(wc);
+  PopulationConfig pc = small_config(3'000, 17);
+  pc.gateways = 2;
+  pc.batch_cap = 32;
+  pc.poll_s = 2;
+  pc.max_poll_s = 4;
+  ClientPopulation pop(world, pc);
+  world.run_for(Duration::seconds(600));
+
+  const ClientPopulation::Metrics& m = pop.metrics();
+  EXPECT_GE(m.dns_queries, 3u) << "TTL rollovers must re-resolve the fleet";
+  EXPECT_GT(m.dns_waits, 0u);
+  EXPECT_GT(m.kod_polls, 0u);
+  using Counters = std::tuple<u64, u64, u64, u64, u64, u64, u64, u64, u64>;
+  EXPECT_EQ((Counters{m.polls, m.exchanges, m.kod_polls, m.timeout_polls,
+                      m.dns_queries, m.dns_waits, m.steps, m.slews,
+                      m.refused}),
+            (Counters{300'512, 9'616, 256, 299'744, 10, 12'246, 0, 0, 0}));
+  EXPECT_EQ(pop.mean_shift_s(), 0.0);
 }
 
 }  // namespace
