@@ -1,8 +1,5 @@
-// Event-loop hot-path microbenchmark: the refactored sim::EventLoop
-// (flat 4-ary heap, slot+generation handles, SmallFn callbacks, move-out
-// pop) versus the frozen pre-refactor implementation in
-// legacy_event_loop.h, on the three workload shapes the simulator actually
-// produces:
+// Event-loop hot-path microbenchmark: sim::EventLoop on the three workload
+// shapes the simulator actually produces:
 //
 //   timer_churn     self-rescheduling periodic timers (NTP poll loops,
 //                   reassembly-cache sweeps);
@@ -13,42 +10,27 @@
 //                   cancelled by the response in the common case).
 //
 // Results go to stdout and to a JSON file (default BENCH_eventloop.json)
-// that CI uploads, so the events/sec trajectory is tracked per commit.
+// that CI uploads and gates for instrumentation overhead (hot_path.h).
+// Absolute per-layer timings of real campaigns live in perfbench/.
 #include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
-#include <utility>
 #include <vector>
 
-#include "bench_util.h"
 #include "common/bytes.h"
-#include "legacy_event_loop.h"
-#include "obs/provenance.h"
+#include "hot_path.h"
 #include "sim/event_loop.h"
 
 namespace dnstime::bench {
 namespace {
 
 using sim::Duration;
-using sim::Time;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
+using sim::EventLoop;
 
 /// N timers, each rescheduling itself until the shared fire budget is
 /// spent. Exercises schedule->pop->reschedule steady state: heap churn at
 /// mixed timestamps with zero cancellations. Shaped like the NTP clients:
 /// an object whose tick schedules `[this] { tick(); }`.
-template <class Loop>
 struct Timer {
-  Loop& loop;
+  EventLoop& loop;
   u64& fired;
   u64 total_fires;
   Duration period;
@@ -58,31 +40,27 @@ struct Timer {
   }
 };
 
-template <class Loop>
-u64 timer_churn(u64 total_fires) {
-  Loop loop;
+void timer_churn(u64 total_fires) {
+  EventLoop loop;
   constexpr int kTimers = 64;
   u64 fired = 0;
-  std::vector<Timer<Loop>> timers;
+  std::vector<Timer> timers;
   timers.reserve(kTimers);
   for (int i = 0; i < kTimers; ++i) {
     // Each timer has its own period so timestamps interleave.
-    timers.push_back(Timer<Loop>{loop, fired, total_fires,
-                                 Duration::millis(10 + i)});
+    timers.push_back(
+        Timer{loop, fired, total_fires, Duration::millis(10 + i)});
     loop.schedule_after(timers.back().period,
                         [t = &timers.back()] { t->tick(); });
   }
   loop.run_all();
-  return fired;
 }
 
 /// One-shot events each carrying a packet-sized payload to a delivery
 /// callback — the Network::send shape. The payload is moved into the
-/// event; the pre-refactor loop pays a std::function heap allocation plus
-/// a payload copy on the copy-out pop.
-template <class Loop>
-u64 packet_burst(u64 total_packets, std::size_t payload_size) {
-  Loop loop;
+/// event.
+void packet_burst(u64 total_packets, std::size_t payload_size) {
+  EventLoop loop;
   u64 delivered = 0;
   constexpr u64 kBatch = 4096;  // bounded queue depth, like a live sim
   for (u64 sent = 0; sent < total_packets;) {
@@ -97,19 +75,17 @@ u64 packet_burst(u64 total_packets, std::size_t payload_size) {
     sent += n;
     loop.run_all();
   }
-  return delivered;
 }
 
 /// Schedule a timeout per "query", cancel most of them (the response
 /// arrived), fire the rest — the DNS resolver timeout shape.
-template <class Loop>
-u64 cancel_heavy(u64 total_events) {
-  Loop loop;
+void cancel_heavy(u64 total_events) {
+  EventLoop loop;
   u64 fired = 0;
   constexpr u64 kBatch = 2048;
   for (u64 done = 0; done < total_events;) {
     u64 n = std::min(kBatch, total_events - done);
-    std::vector<decltype(loop.schedule_after(Duration{}, [] {}))> handles;
+    std::vector<sim::EventHandle> handles;
     handles.reserve(n);
     for (u64 i = 0; i < n; ++i) {
       handles.push_back(loop.schedule_after(Duration::millis(5),
@@ -121,204 +97,31 @@ u64 cancel_heavy(u64 total_events) {
     loop.run_all();
     done += n;
   }
-  return fired;
-}
-
-struct WorkloadResult {
-  std::string name;
-  u64 events = 0;
-  double legacy_s = 0.0;
-  double new_s = 0.0;
-  [[nodiscard]] double legacy_eps() const {
-    return static_cast<double>(events) / legacy_s;
-  }
-  [[nodiscard]] double new_eps() const {
-    return static_cast<double>(events) / new_s;
-  }
-  [[nodiscard]] double speedup() const { return legacy_s / new_s; }
-};
-
-/// Min-of-N wall time: rerun the workload `repeat` times and keep the
-/// fastest run.  A single run carries scheduler jitter far larger than
-/// the 2% instrumentation budget the overhead gate enforces; the minimum
-/// is the standard noise-robust estimator for a deterministic workload.
-template <class Fn>
-double timed(int repeat, Fn&& fn) {
-  double best = 0.0;
-  for (int i = 0; i < repeat; ++i) {
-    auto start = std::chrono::steady_clock::now();
-    fn();
-    double s = seconds_since(start);
-    if (i == 0 || s < best) best = s;
-  }
-  return best;
-}
-
-/// Min-of-N with the flight recorder toggled per repeat: each iteration
-/// times the workload back to back with the recorder uninstalled and
-/// installed, alternating which half goes first (ABBA), so both
-/// measurements see the same machine conditions and neither side
-/// systematically lands on the hotter or cooler slot.  Cross-process
-/// comparisons drown a 2% budget in scheduler noise; this paired
-/// in-process form is what the flight-recorder overhead gate uses.
-template <class Fn>
-std::pair<double, double> timed_toggled(int repeat,
-                                        obs::FlightRecorder* recorder,
-                                        Fn&& fn) {
-  double best_off = 0.0;
-  double best_on = 0.0;
-  for (int i = 0; i < repeat; ++i) {
-    const bool on_first = (i % 2) != 0;
-    for (int half = 0; half < 2; ++half) {
-      const bool with_recorder = (half == 0) == on_first;
-      double s;
-      if (with_recorder) {
-        obs::ScopedFlightRecorder install(recorder);
-        auto start = std::chrono::steady_clock::now();
-        fn();
-        s = seconds_since(start);
-      } else {
-        auto start = std::chrono::steady_clock::now();
-        fn();
-        s = seconds_since(start);
-      }
-      double& best = with_recorder ? best_on : best_off;
-      if (i == 0 || s < best) best = s;
-    }
-  }
-  return {best_off, best_on};
 }
 
 }  // namespace
 }  // namespace dnstime::bench
 
 int main(int argc, char** argv) {
-  using namespace dnstime;
   using namespace dnstime::bench;
-
-  u64 scale = 2'000'000;
-  int repeat = 3;
-  std::string out_path = "BENCH_eventloop.json";
-  std::string baseline_out;
-  bool flight_on = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
-      scale = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
-      repeat = std::atoi(argv[++i]);
-      if (repeat < 1) repeat = 1;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--baseline-out") == 0 && i + 1 < argc) {
-      baseline_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--flight-recorder") == 0) {
-      flight_on = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--scale N] [--repeat N] [--out FILE] "
-                   "[--flight-recorder [--baseline-out FILE]]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
-  if (!baseline_out.empty() && !flight_on) {
-    std::fprintf(stderr, "--baseline-out requires --flight-recorder\n");
-    return 2;
-  }
 
   // The event loop has no provenance sites; running under the recorder
   // anyway measures the honest cost of carrying it (the per-site
   // thread_local check is the only overhead a non-packet path pays).
-  // With --flight-recorder each repeat times the refactored loop back to
-  // back with the recorder off and on, and --baseline-out writes the
-  // recorder-off numbers as a matched baseline for the overhead gate.
-  obs::FlightRecorder flight;
-  if (flight_on) flight.set_meta("bench/eventloop", 0x5eed, 0, 0x5eed);
-
-  header(flight_on ? "event-loop hot path: refactored vs pre-refactor loop "
-                     "(flight recorder ON)"
-                   : "event-loop hot path: refactored vs pre-refactor loop");
-
-  std::vector<WorkloadResult> results;
-  std::vector<double> baseline_new_s;  // recorder-off new-loop seconds
-  const auto measure_new = [&](auto&& fn) {
-    if (!flight_on) return timed(repeat, fn);
-    auto [off, on] = timed_toggled(repeat, &flight, fn);
-    baseline_new_s.push_back(off);
-    return on;
-  };
-  {
-    WorkloadResult r{.name = "timer_churn", .events = scale};
-    r.legacy_s = timed(
-        repeat, [&] { timer_churn<bench_legacy::LegacyEventLoop>(scale); });
-    r.new_s = measure_new([&] { timer_churn<sim::EventLoop>(scale); });
-    results.push_back(r);
-  }
-  {
-    WorkloadResult r{.name = "packet_burst", .events = scale};
-    r.legacy_s = timed(repeat, [&] {
-      packet_burst<bench_legacy::LegacyEventLoop>(scale, 90);
-    });
-    r.new_s = measure_new([&] { packet_burst<sim::EventLoop>(scale, 90); });
-    results.push_back(r);
-  }
-  {
-    WorkloadResult r{.name = "cancel_heavy", .events = scale};
-    r.legacy_s = timed(
-        repeat, [&] { cancel_heavy<bench_legacy::LegacyEventLoop>(scale); });
-    r.new_s = measure_new([&] { cancel_heavy<sim::EventLoop>(scale); });
-    results.push_back(r);
-  }
-
-  std::printf("  %-14s %12s %14s %14s %9s\n", "workload", "events",
-              "legacy ev/s", "new ev/s", "speedup");
-  std::printf("  ");
-  for (int i = 0; i < 66; ++i) std::printf("-");
-  std::printf("\n");
-  double speedup_product = 1.0;
-  for (const WorkloadResult& r : results) {
-    std::printf("  %-14s %12llu %14.0f %14.0f %8.2fx\n", r.name.c_str(),
-                static_cast<unsigned long long>(r.events), r.legacy_eps(),
-                r.new_eps(), r.speedup());
-    speedup_product *= r.speedup();
-  }
-  double geomean = std::pow(speedup_product, 1.0 / results.size());
-  std::printf("  geomean speedup: %.2fx\n", geomean);
-
-  const auto write_json = [scale](const std::string& path,
-                                  const std::vector<WorkloadResult>& rs) {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return false;
-    }
-    std::fprintf(f, "{\"bench\":\"eventloop\",\"scale\":%llu,\"workloads\":[",
-                 static_cast<unsigned long long>(scale));
-    double product = 1.0;
-    for (std::size_t i = 0; i < rs.size(); ++i) {
-      const WorkloadResult& r = rs[i];
-      std::fprintf(f,
-                   "%s{\"name\":\"%s\",\"events\":%llu,\"legacy_s\":%.4f,"
-                   "\"new_s\":%.4f,\"legacy_events_per_sec\":%.0f,"
-                   "\"new_events_per_sec\":%.0f,\"speedup\":%.3f}",
-                   i ? "," : "", r.name.c_str(),
-                   static_cast<unsigned long long>(r.events), r.legacy_s,
-                   r.new_s, r.legacy_eps(), r.new_eps(), r.speedup());
-      product *= r.speedup();
-    }
-    std::fprintf(f, "],\"geomean_speedup\":%.3f}\n",
-                 std::pow(product, 1.0 / rs.size()));
-    std::fclose(f);
-    std::printf("  wrote %s\n", path.c_str());
-    return true;
-  };
-  if (!write_json(out_path, results)) return 1;
-  if (!baseline_out.empty()) {
-    std::vector<WorkloadResult> baseline = results;
-    for (std::size_t i = 0; i < baseline.size(); ++i) {
-      baseline[i].new_s = baseline_new_s[i];
-    }
-    if (!write_json(baseline_out, baseline)) return 1;
-  }
-  return 0;
+  HotPathBench bench("eventloop", "events", 2'000'000);
+  if (!bench.parse(argc, argv)) return 2;
+  const dnstime::u64 scale = bench.scale();
+  bench.run("timer_churn", [&] {
+    timer_churn(scale);
+    return scale;
+  });
+  bench.run("packet_burst", [&] {
+    packet_burst(scale, 90);
+    return scale;
+  });
+  bench.run("cancel_heavy", [&] {
+    cancel_heavy(scale);
+    return scale;
+  });
+  return bench.finish();
 }

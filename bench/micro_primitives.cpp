@@ -63,7 +63,7 @@ void BM_Ipv4EncodeDecode(benchmark::State& state) {
   pkt.dst = Ipv4Addr{10, 0, 0, 2};
   pkt.payload = random_bytes(512, 3);
   for (auto _ : state) {
-    Bytes wire = net::encode(pkt);
+    PacketBuf wire = net::encode(pkt);
     benchmark::DoNotOptimize(net::decode_ipv4(wire));
   }
 }
@@ -71,9 +71,7 @@ BENCHMARK(BM_Ipv4EncodeDecode);
 
 void BM_UdpChecksumVerify(benchmark::State& state) {
   Ipv4Addr src{10, 0, 0, 1}, dst{10, 0, 0, 2};
-  net::UdpDatagram d{.src_port = 53, .dst_port = 3333,
-                     .payload = random_bytes(512, 4)};
-  Bytes wire = net::encode_udp(d, src, dst);
+  PacketBuf wire = net::encode_udp(random_bytes(512, 4), 53, 3333, src, dst);
   for (auto _ : state) {
     benchmark::DoNotOptimize(net::decode_udp(wire, src, dst));
   }
@@ -98,14 +96,14 @@ dns::DnsMessage sample_pool_response() {
 void BM_DnsEncodeDecode(benchmark::State& state) {
   dns::DnsMessage msg = sample_pool_response();
   for (auto _ : state) {
-    Bytes wire = dns::encode_dns(msg);
+    PacketBuf wire = dns::encode_dns(msg);
     benchmark::DoNotOptimize(dns::decode_dns(wire));
   }
 }
 BENCHMARK(BM_DnsEncodeDecode);
 
 void BM_FragmentCrafting(benchmark::State& state) {
-  Bytes wire = dns::encode_dns(sample_pool_response());
+  PacketBuf wire = dns::encode_dns(sample_pool_response());
   attack::CraftConfig cc;
   cc.ns_addr = Ipv4Addr{198, 51, 100, 53};
   cc.resolver_addr = Ipv4Addr{10, 53, 0, 1};
@@ -140,7 +138,7 @@ void BM_NtpPacketCodec(benchmark::State& state) {
   pkt.stratum = 2;
   pkt.tx_time = ntp::kSimEpochNtpSeconds + 1.5;
   for (auto _ : state) {
-    Bytes wire = ntp::encode_ntp(pkt);
+    PacketBuf wire = ntp::encode_ntp(pkt);
     benchmark::DoNotOptimize(ntp::decode_ntp(wire));
   }
 }

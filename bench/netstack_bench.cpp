@@ -1,7 +1,6 @@
 // Packet-path microbenchmark: the pooled zero-copy packet path (PacketBuf
 // payloads, header prepend into headroom, fragment slicing, pooled
-// reassembly) versus the frozen pre-refactor Bytes path in
-// legacy_packet_path.h, on the three shapes the paper's campaigns hammer:
+// reassembly) on the three shapes the paper's campaigns hammer:
 //
 //   flood             unfragmented small datagrams, serialize -> deliver ->
 //                     checksum-verify -> parse (NTP mode-3 floods,
@@ -12,24 +11,17 @@
 //   request_response  small query out, fragmented response back through
 //                     reassembly (the resolver/nameserver transaction).
 //
-// Both sides do identical logical work through their own types; results go
-// to stdout and to a JSON file (default BENCH_netstack.json) with the same
-// shape as BENCH_eventloop.json, tracked per commit by the CI release-bench
-// job.
-#include <chrono>
-#include <cmath>
-#include <cstdio>
+// Results go to stdout and to a JSON file (default BENCH_netstack.json)
+// with the same shape as BENCH_eventloop.json (hot_path.h), uploaded and
+// overhead-gated by the CI release-bench job. Absolute per-layer timings
+// of real campaigns live in perfbench/.
 #include <cstdlib>
-#include <cstring>
-#include <string>
-#include <utility>
+#include <span>
 #include <vector>
 
-#include "bench_util.h"
-#include "common/buffer.h"
 #include "common/bytes.h"
 #include "common/rng.h"
-#include "legacy_packet_path.h"
+#include "hot_path.h"
 #include "net/fragmentation.h"
 #include "net/reassembly.h"
 #include "net/udp.h"
@@ -41,12 +33,6 @@ namespace {
 constexpr Ipv4Addr kSrc{198, 51, 100, 53};
 constexpr Ipv4Addr kDst{10, 53, 0, 1};
 
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 Bytes make_pattern(std::size_t n, u64 seed) {
   Rng rng{seed};
   Bytes out(n);
@@ -54,69 +40,32 @@ Bytes make_pattern(std::size_t n, u64 seed) {
   return out;
 }
 
-// --- the two paths, same logical work ---------------------------------------
+net::Ipv4Packet make_udp_packet(std::span<const u8> pattern, u16 id) {
+  ByteWriter w;
+  w.write_bytes(pattern);
+  net::Ipv4Packet pkt;
+  pkt.src = kSrc;
+  pkt.dst = kDst;
+  pkt.id = id;
+  pkt.payload =
+      net::encode_udp(std::move(w).take_buf(), 123, 123, kSrc, kDst);
+  // No-op unless --flight-recorder installed one; with it, every packet
+  // exercises the provenance stamp path the overhead gate measures.
+  DNSTIME_PROV_STAMP(pkt.payload, 0, OriginModule::kAttacker, 0);
+  return pkt;
+}
 
-struct LegacyPath {
-  using Packet = bench_legacy::Ipv4Packet;
-  using Cache = bench_legacy::ReassemblyCache;
-
-  static Packet make_udp_packet(std::span<const u8> pattern, u16 id) {
-    bench_legacy::UdpDatagram d{
-        .src_port = 123,
-        .dst_port = 123,
-        .payload = bench_legacy::Bytes(pattern.begin(), pattern.end())};
-    Packet pkt;
-    pkt.src = kSrc;
-    pkt.dst = kDst;
-    pkt.id = id;
-    pkt.payload = bench_legacy::encode_udp(d, kSrc, kDst);
-    return pkt;
-  }
-  static std::vector<Packet> fragment(const Packet& pkt, u16 mtu) {
-    return bench_legacy::fragment(pkt, mtu);
-  }
-  static std::size_t parse(const Packet& pkt) {
-    return bench_legacy::decode_udp(pkt.payload, pkt.src, pkt.dst)
-        .payload.size();
-  }
-};
-
-struct PooledPath {
-  using Packet = net::Ipv4Packet;
-  using Cache = net::ReassemblyCache;
-
-  static Packet make_udp_packet(std::span<const u8> pattern, u16 id) {
-    ByteWriter w;
-    w.write_bytes(pattern);
-    Packet pkt;
-    pkt.src = kSrc;
-    pkt.dst = kDst;
-    pkt.id = id;
-    pkt.payload = net::encode_udp_buf(std::move(w).take_buf(), 123, 123,
-                                      kSrc, kDst);
-    // No-op unless --flight-recorder installed one; with it, every packet
-    // exercises the provenance stamp path the overhead gate measures.
-    DNSTIME_PROV_STAMP(pkt.payload, 0, OriginModule::kAttacker, 0);
-    return pkt;
-  }
-  static std::vector<Packet> fragment(const Packet& pkt, u16 mtu) {
-    return net::fragment(pkt, mtu);
-  }
-  static std::size_t parse(const Packet& pkt) {
-    return net::decode_udp_buf(pkt.payload, pkt.src, pkt.dst).payload.size();
-  }
-};
-
-// --- workloads ---------------------------------------------------------------
+std::size_t parse(const net::Ipv4Packet& pkt) {
+  return net::decode_udp(pkt.payload, pkt.src, pkt.dst).payload.size();
+}
 
 /// Unfragmented datagram: serialize, deliver, verify + parse.
-template <class Path>
 u64 flood(u64 iterations, std::span<const u8> pattern) {
   u64 packets = 0;
   std::size_t consumed = 0;
   for (u64 i = 0; i < iterations; ++i) {
-    auto pkt = Path::make_udp_packet(pattern, static_cast<u16>(i));
-    consumed += Path::parse(pkt);
+    auto pkt = make_udp_packet(pattern, static_cast<u16>(i));
+    consumed += parse(pkt);
     packets++;
   }
   if (consumed == 0) std::abort();  // defeat over-optimisation
@@ -125,17 +74,16 @@ u64 flood(u64 iterations, std::span<const u8> pattern) {
 
 /// Large datagram fragmented at `mtu`; every fragment through the
 /// reassembly cache; the completed datagram parsed.
-template <class Path>
 u64 fragment_spray(u64 iterations, std::span<const u8> pattern, u16 mtu) {
-  typename Path::Cache cache;
+  net::ReassemblyCache cache;
   u64 packets = 0;
   std::size_t consumed = 0;
   for (u64 i = 0; i < iterations; ++i) {
-    auto pkt = Path::make_udp_packet(pattern, static_cast<u16>(i));
-    for (auto& frag : Path::fragment(pkt, mtu)) {
+    auto pkt = make_udp_packet(pattern, static_cast<u16>(i));
+    for (auto& frag : net::fragment(pkt, mtu)) {
       packets++;
       if (auto full = cache.insert(frag, sim::Time{})) {
-        consumed += Path::parse(*full);
+        consumed += parse(*full);
       }
     }
   }
@@ -144,91 +92,25 @@ u64 fragment_spray(u64 iterations, std::span<const u8> pattern, u16 mtu) {
 }
 
 /// Small query out; fragmented response back through reassembly.
-template <class Path>
 u64 request_response(u64 iterations, std::span<const u8> query,
                      std::span<const u8> response, u16 mtu) {
-  typename Path::Cache cache;
+  net::ReassemblyCache cache;
   u64 packets = 0;
   std::size_t consumed = 0;
   for (u64 i = 0; i < iterations; ++i) {
-    auto q = Path::make_udp_packet(query, static_cast<u16>(2 * i));
-    consumed += Path::parse(q);
+    auto q = make_udp_packet(query, static_cast<u16>(2 * i));
+    consumed += parse(q);
     packets++;
-    auto r = Path::make_udp_packet(response, static_cast<u16>(2 * i + 1));
-    for (auto& frag : Path::fragment(r, mtu)) {
+    auto r = make_udp_packet(response, static_cast<u16>(2 * i + 1));
+    for (auto& frag : net::fragment(r, mtu)) {
       packets++;
       if (auto full = cache.insert(frag, sim::Time{})) {
-        consumed += Path::parse(*full);
+        consumed += parse(*full);
       }
     }
   }
   if (consumed == 0) std::abort();
   return packets;
-}
-
-struct WorkloadResult {
-  std::string name;
-  u64 packets = 0;
-  double legacy_s = 0.0;
-  double new_s = 0.0;
-  [[nodiscard]] double legacy_pps() const {
-    return static_cast<double>(packets) / legacy_s;
-  }
-  [[nodiscard]] double new_pps() const {
-    return static_cast<double>(packets) / new_s;
-  }
-  [[nodiscard]] double speedup() const { return legacy_s / new_s; }
-};
-
-/// Min-of-N wall time: rerun the workload `repeat` times and keep the
-/// fastest run.  A single run carries scheduler jitter far larger than
-/// the 2% instrumentation budget the overhead gate enforces; the minimum
-/// is the standard noise-robust estimator for a deterministic workload.
-template <class Fn>
-double timed(int repeat, Fn&& fn) {
-  double best = 0.0;
-  for (int i = 0; i < repeat; ++i) {
-    auto start = std::chrono::steady_clock::now();
-    fn();
-    double s = seconds_since(start);
-    if (i == 0 || s < best) best = s;
-  }
-  return best;
-}
-
-/// Min-of-N with the flight recorder toggled per repeat: each iteration
-/// times the workload back to back with the recorder uninstalled and
-/// installed, alternating which half goes first (ABBA), so both
-/// measurements see the same machine conditions and neither side
-/// systematically lands on the hotter or cooler slot.  Cross-process
-/// comparisons drown a 2% budget in scheduler noise; this paired
-/// in-process form is what the flight-recorder overhead gate uses.
-template <class Fn>
-std::pair<double, double> timed_toggled(int repeat,
-                                        obs::FlightRecorder* recorder,
-                                        Fn&& fn) {
-  double best_off = 0.0;
-  double best_on = 0.0;
-  for (int i = 0; i < repeat; ++i) {
-    const bool on_first = (i % 2) != 0;
-    for (int half = 0; half < 2; ++half) {
-      const bool with_recorder = (half == 0) == on_first;
-      double s;
-      if (with_recorder) {
-        obs::ScopedFlightRecorder install(recorder);
-        auto start = std::chrono::steady_clock::now();
-        fn();
-        s = seconds_since(start);
-      } else {
-        auto start = std::chrono::steady_clock::now();
-        fn();
-        s = seconds_since(start);
-      }
-      double& best = with_recorder ? best_on : best_off;
-      if (i == 0 || s < best) best = s;
-    }
-  }
-  return {best_off, best_on};
 }
 
 }  // namespace
@@ -238,51 +120,12 @@ int main(int argc, char** argv) {
   using namespace dnstime;
   using namespace dnstime::bench;
 
-  u64 scale = 400'000;
-  int repeat = 3;
-  std::string out_path = "BENCH_netstack.json";
-  std::string baseline_out;
-  bool flight_on = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
-      scale = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
-      repeat = std::atoi(argv[++i]);
-      if (repeat < 1) repeat = 1;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--baseline-out") == 0 && i + 1 < argc) {
-      baseline_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--flight-recorder") == 0) {
-      flight_on = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--scale N] [--repeat N] [--out FILE] "
-                   "[--flight-recorder [--baseline-out FILE]]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
-  if (!baseline_out.empty() && !flight_on) {
-    std::fprintf(stderr, "--baseline-out requires --flight-recorder\n");
-    return 2;
-  }
-
-  // With --flight-recorder the pooled path runs exactly as a trial does
+  // With --flight-recorder the packet path runs exactly as a trial does
   // under the always-on recorder: every packet stamped, every completed
-  // reassembly recorded into the ring. Each repeat times the pooled path
-  // back to back with the recorder off and on (timed_toggled), and
-  // --baseline-out writes the recorder-off numbers as a matched baseline
-  // JSON, so the ≤2% overhead gate (tools/check_bench_overhead.py)
-  // compares two measurements taken in the same process under the same
-  // machine conditions.
-  obs::FlightRecorder flight;
-  if (flight_on) flight.set_meta("bench/netstack", 0x5eed, 0, 0x5eed);
-
-  header(flight_on
-             ? "packet path: pooled zero-copy vs pre-refactor copy path "
-               "(flight recorder ON)"
-             : "packet path: pooled zero-copy vs pre-refactor copy path");
+  // reassembly recorded into the ring.
+  HotPathBench bench("netstack", "packets", 400'000);
+  if (!bench.parse(argc, argv)) return 2;
+  const u64 scale = bench.scale();
 
   // 48 B = an NTP mode-3 query; 1172 B at MTU 296 = the attack's fragmented
   // DNS response shape (5 fragments); 64 B / 900 B at MTU 576 = a DNS
@@ -292,98 +135,11 @@ int main(int argc, char** argv) {
   Bytes query_pattern = make_pattern(64, 3);
   Bytes response_pattern = make_pattern(900, 4);
 
-  std::vector<WorkloadResult> results;
-  std::vector<double> baseline_new_s;  // recorder-off pooled-path seconds
-  const auto measure_new = [&](auto&& fn) {
-    if (!flight_on) return timed(repeat, fn);
-    auto [off, on] = timed_toggled(repeat, &flight, fn);
-    baseline_new_s.push_back(off);
-    return on;
-  };
-  {
-    WorkloadResult r{.name = "flood"};
-    r.legacy_s =
-        timed(repeat, [&] { flood<LegacyPath>(scale, flood_pattern); });
-    r.new_s = measure_new([&] { flood<PooledPath>(scale, flood_pattern); });
-    r.packets = scale;
-    results.push_back(r);
-  }
-  {
-    WorkloadResult r{.name = "fragment_spray"};
-    u64 packets = 0;
-    r.legacy_s = timed(repeat, [&] {
-      packets = fragment_spray<LegacyPath>(scale / 4, spray_pattern, 296);
-    });
-    r.new_s = measure_new([&] {
-      (void)fragment_spray<PooledPath>(scale / 4, spray_pattern, 296);
-    });
-    r.packets = packets;
-    results.push_back(r);
-  }
-  {
-    WorkloadResult r{.name = "request_response"};
-    u64 packets = 0;
-    r.legacy_s = timed(repeat, [&] {
-      packets = request_response<LegacyPath>(scale / 4, query_pattern,
-                                             response_pattern, 576);
-    });
-    r.new_s = measure_new([&] {
-      (void)request_response<PooledPath>(scale / 4, query_pattern,
-                                         response_pattern, 576);
-    });
-    r.packets = packets;
-    results.push_back(r);
-  }
-
-  std::printf("  %-18s %12s %14s %14s %9s\n", "workload", "packets",
-              "legacy pkt/s", "new pkt/s", "speedup");
-  std::printf("  ");
-  for (int i = 0; i < 70; ++i) std::printf("-");
-  std::printf("\n");
-  double speedup_product = 1.0;
-  for (const WorkloadResult& r : results) {
-    std::printf("  %-18s %12llu %14.0f %14.0f %8.2fx\n", r.name.c_str(),
-                static_cast<unsigned long long>(r.packets), r.legacy_pps(),
-                r.new_pps(), r.speedup());
-    speedup_product *= r.speedup();
-  }
-  double geomean = std::pow(speedup_product, 1.0 / results.size());
-  std::printf("  geomean speedup: %.2fx\n", geomean);
-
-  const auto write_json = [scale](const std::string& path,
-                                  const std::vector<WorkloadResult>& rs) {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return false;
-    }
-    std::fprintf(f, "{\"bench\":\"netstack\",\"scale\":%llu,\"workloads\":[",
-                 static_cast<unsigned long long>(scale));
-    double product = 1.0;
-    for (std::size_t i = 0; i < rs.size(); ++i) {
-      const WorkloadResult& r = rs[i];
-      std::fprintf(f,
-                   "%s{\"name\":\"%s\",\"packets\":%llu,\"legacy_s\":%.4f,"
-                   "\"new_s\":%.4f,\"legacy_packets_per_sec\":%.0f,"
-                   "\"new_packets_per_sec\":%.0f,\"speedup\":%.3f}",
-                   i ? "," : "", r.name.c_str(),
-                   static_cast<unsigned long long>(r.packets), r.legacy_s,
-                   r.new_s, r.legacy_pps(), r.new_pps(), r.speedup());
-      product *= r.speedup();
-    }
-    std::fprintf(f, "],\"geomean_speedup\":%.3f}\n",
-                 std::pow(product, 1.0 / rs.size()));
-    std::fclose(f);
-    std::printf("  wrote %s\n", path.c_str());
-    return true;
-  };
-  if (!write_json(out_path, results)) return 1;
-  if (!baseline_out.empty()) {
-    std::vector<WorkloadResult> baseline = results;
-    for (std::size_t i = 0; i < baseline.size(); ++i) {
-      baseline[i].new_s = baseline_new_s[i];
-    }
-    if (!write_json(baseline_out, baseline)) return 1;
-  }
-  return 0;
+  bench.run("flood", [&] { return flood(scale, flood_pattern); });
+  bench.run("fragment_spray",
+            [&] { return fragment_spray(scale / 4, spray_pattern, 296); });
+  bench.run("request_response", [&] {
+    return request_response(scale / 4, query_pattern, response_pattern, 576);
+  });
+  return bench.finish();
 }

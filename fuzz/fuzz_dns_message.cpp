@@ -31,10 +31,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       std::abort();  // span escapes the input buffer
     }
   }
-  Bytes first = dns::encode_dns(msg);
+  const PacketBuf first = dns::encode_dns(msg);
   dns::DnsMessage reparsed = dns::decode_dns(first);
   if (!(reparsed == msg)) std::abort();  // encode corrupted the message
-  Bytes second = dns::encode_dns(reparsed);
+  const PacketBuf second = dns::encode_dns(reparsed);
   if (first != second) std::abort();  // encoder not idempotent
   return 0;
 }

@@ -20,17 +20,17 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
   try {
     ntp::NtpPacket pkt = ntp::decode_ntp({data, size});
-    Bytes wire = ntp::encode_ntp(pkt);
+    const PacketBuf wire = ntp::encode_ntp(pkt);
     if (wire.size() != 48) std::abort();
     if (std::memcmp(wire.data(), data, 16) != 0) std::abort();
     ntp::NtpPacket again = ntp::decode_ntp(wire);
-    Bytes wire2 = ntp::encode_ntp(again);
+    const PacketBuf wire2 = ntp::encode_ntp(again);
     if (wire != wire2) std::abort();  // encoder not idempotent
   } catch (const DecodeError&) {
   }
 
   if (auto resp = ntp::decode_config_response({data, size})) {
-    Bytes wire = ntp::encode_config_response(*resp);
+    const PacketBuf wire = ntp::encode_config_response(*resp);
     auto again = ntp::decode_config_response(wire);
     if (!again) std::abort();  // canonical encoding must decode
     if (ntp::encode_config_response(*again) != wire) std::abort();

@@ -54,7 +54,7 @@ void CachePoisoner::fetch_template() {
     }
     measure_ipid();
   });
-  stack_.send_udp(config_.ns_addr, port, kDnsPort, encode_dns_buf(query));
+  stack_.send_udp(config_.ns_addr, port, kDnsPort, encode_dns(query));
   // Retry if the template fetch is lost.
   stack_.loop().schedule_after(sim::Duration::seconds(2),
                                [this, got, port] {
@@ -144,7 +144,7 @@ void CachePoisoner::verify_poisoned(const dns::DnsName& name,
     }
     done(poisoned);
   });
-  stack_.send_udp(config_.resolver_addr, port, kDnsPort, encode_dns_buf(probe));
+  stack_.send_udp(config_.resolver_addr, port, kDnsPort, encode_dns(probe));
   stack_.loop().schedule_after(sim::Duration::seconds(2),
                                [this, done, port, finished] {
                                  if (*finished) return;

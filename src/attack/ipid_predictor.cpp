@@ -41,7 +41,7 @@ void IpidProber::send_probe() {
   // handler exists purely to own/release the port.
   stack_.bind_udp(port,
                   [](const net::UdpEndpoint&, u16, BufView) {});
-  stack_.send_udp(target_, port, kDnsPort, encode_dns_buf(query));
+  stack_.send_udp(target_, port, kDnsPort, encode_dns(query));
   stack_.loop().schedule_after(config_.spacing, [this, port] {
     stack_.unbind_udp(port);
     send_probe();

@@ -38,7 +38,7 @@ void QueryTrigger::via_open_resolver(net::NetStack& attacker,
     attacker.unbind_udp(port);
   });
   DNSTIME_TRACE_INSTANT(attacker.now().ns(), "attack", "trigger");
-  attacker.send_udp(resolver, port, kDnsPort, encode_dns_buf(query));
+  attacker.send_udp(resolver, port, kDnsPort, encode_dns(query));
 }
 
 void QueryTrigger::via_smtp(net::NetStack& attacker, Ipv4Addr smtp_host,

@@ -46,8 +46,8 @@ void RateLimitAbuser::flood_tick(Ipv4Addr server) {
   pkt.src = victim_;
   pkt.dst = server;
   pkt.protocol = net::kProtoUdp;
-  pkt.payload = net::encode_udp_buf(encode_ntp_buf(query), kNtpPort, kNtpPort,
-                                    victim_, server);
+  pkt.payload = net::encode_udp(encode_ntp(query), kNtpPort, kNtpPort,
+                                victim_, server);
   stack_.send_raw(std::move(pkt));
   spoofed_++;
 

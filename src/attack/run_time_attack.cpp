@@ -72,7 +72,7 @@ void RunTimeAttack::query_refid() {
     } catch (const DecodeError&) {
     }
   });
-  stack_.send_udp(config_.victim, port, kNtpPort, encode_ntp_buf(query));
+  stack_.send_udp(config_.victim, port, kNtpPort, encode_ntp(query));
 }
 
 void RunTimeAttack::query_config() {

@@ -99,6 +99,11 @@ CliOptions parse_cli(int argc, char** argv, CliOptions defaults,
     opts.ok = false;
     return opts;
   };
+  // Flags that only take effect together with another flag; seeing one
+  // alone is an error, not a silent no-op.
+  bool threads_set = false;
+  bool trace_index_set = false;
+  bool dump_on_set = false;
   for (int i = 1; i < argc; ++i) {
     const char* flag = argv[i];
     if (std::strcmp(flag, "--json") == 0) {
@@ -167,6 +172,7 @@ CliOptions parse_cli(int argc, char** argv, CliOptions defaults,
         return fail();
       }
       opts.config.threads = static_cast<u32>(parsed);
+      threads_set = true;
     } else if (std::strcmp(flag, "--seed") == 0) {
       if (!parse_u64_token(value, parsed)) {
         std::fprintf(stderr,
@@ -197,6 +203,7 @@ CliOptions parse_cli(int argc, char** argv, CliOptions defaults,
         return fail();
       }
       opts.config.dump_on = value;
+      dump_on_set = true;
     } else if (std::strcmp(flag, "--progress") == 0) {
       opts.config.progress_path = value;
     } else if (std::strcmp(flag, "--workers") == 0) {
@@ -258,6 +265,7 @@ CliOptions parse_cli(int argc, char** argv, CliOptions defaults,
         return fail();
       }
       opts.config.trace_index = parsed;
+      trace_index_set = true;
     } else if (std::strcmp(flag, "--log-level") == 0) {
       const std::optional<LogLevel> level = parse_log_level(value);
       if (!level) {
@@ -271,6 +279,15 @@ CliOptions parse_cli(int argc, char** argv, CliOptions defaults,
     } else {
       opts.filter = value;
     }
+  }
+  if (trace_index_set && opts.config.trace_path.empty()) {
+    std::fprintf(stderr, "%s: '--trace-index' requires '--trace FILE'\n",
+                 argv[0]);
+    return fail();
+  }
+  if (dump_on_set && opts.config.dump_dir.empty()) {
+    std::fprintf(stderr, "%s: '--dump-on' requires '--dump DIR'\n", argv[0]);
+    return fail();
   }
   if (opts.config.resume && opts.config.journal_dir.empty()) {
     std::fprintf(stderr, "%s: '--resume' requires '--journal DIR'\n",
@@ -297,6 +314,13 @@ CliOptions parse_cli(int argc, char** argv, CliOptions defaults,
       std::fprintf(stderr,
                    "%s: '--trace'/'--dump' are not supported with "
                    "'--workers' (trials execute in worker processes)\n",
+                   argv[0]);
+      return fail();
+    }
+    if (threads_set) {
+      std::fprintf(stderr,
+                   "%s: '--threads' has no effect with '--workers' (each "
+                   "worker process runs its trials on one thread)\n",
                    argv[0]);
       return fail();
     }

@@ -34,8 +34,8 @@ struct CliOptions {
 /// --filter PREFIX.
 /// --workers N (N >= 2) selects the multi-process coordinator; it
 /// requires --journal and rejects --trace/--dump (trials execute in other
-/// processes), and --threads is ignored (the process is the unit of
-/// parallelism; workers run single-threaded). In distributed mode
+/// processes) and --threads (the process is the unit of parallelism;
+/// workers run single-threaded). In distributed mode
 /// --progress names a directory of per-process JSONL files, not a file.
 /// The hidden worker/fault-injection flags (--dist-worker, --dist-fd-in,
 /// --dist-fd-out, --dist-worker-id, --dist-kill-worker, --dist-kill-after)
@@ -46,7 +46,9 @@ struct CliOptions {
 /// land in CampaignConfig::dump_dir/dump_on/progress_path (narrative
 /// dumps and the live progress stream; see runner.h).
 /// --log-level applies immediately (Logger::set_level); --trace/--trace-index
-/// land in CampaignConfig::trace_path/trace_index. Numeric values must be
+/// land in CampaignConfig::trace_path/trace_index. A flag that cannot take
+/// effect is an error: --trace-index without --trace, --dump-on without
+/// --dump. Numeric values must be
 /// full unsigned-decimal tokens in range — garbage, trailing junk,
 /// negatives and overflow are reported like unknown flags (never silently
 /// parsed as 0), and --trials additionally rejects 0.

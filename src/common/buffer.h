@@ -140,10 +140,10 @@ class PacketBuf {
  public:
   PacketBuf() = default;
 
-  /// Pooled copy of existing bytes. Implicit on purpose: it is the compat
-  /// bridge that lets legacy `Bytes`-producing code feed the packet path
-  /// (at the cost of one copy — the hot paths build pooled buffers
-  /// directly via ByteWriter::take_buf()).
+  /// Pooled copy of existing bytes. Implicit on purpose: it is the edge
+  /// conversion that lets `Bytes` built by tests and wire-crafting code
+  /// feed the packet path (at the cost of one copy — encoders build pooled
+  /// buffers directly via ByteWriter::take_buf()).
   PacketBuf(const Bytes& bytes)
       : PacketBuf(copy_of(std::span<const u8>(bytes))) {}
   PacketBuf(std::initializer_list<u8> init)

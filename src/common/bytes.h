@@ -3,9 +3,8 @@
 //
 // ByteWriter appends into a pooled PacketBuf (common/buffer.h) and reserves
 // packet headroom by default, so a codec's output can have lower-layer
-// headers prepended in place — `take_buf()` is the zero-copy path the
-// netstack rides; `take()` keeps the legacy owned-vector contract for wire
-// crafting and persistence code.
+// headers prepended in place — `take_buf()` is what every wire encoder
+// returns; `take()` hands persistence code (the journal) an owned vector.
 #pragma once
 
 #include <cstring>

@@ -99,9 +99,8 @@ ResourceRecord read_record(ByteReader& r, Section section, std::size_t index,
 
 }  // namespace
 
-namespace {
-
-void write_dns(ByteWriter& w, const DnsMessage& msg) {
+PacketBuf encode_dns(const DnsMessage& msg) {
+  ByteWriter w;
   NameCompressor comp;
   w.write_u16(msg.id);
   u16 flags = 0;
@@ -125,19 +124,6 @@ void write_dns(ByteWriter& w, const DnsMessage& msg) {
   for (const auto& rr : msg.answers) write_record(w, comp, rr);
   for (const auto& rr : msg.authority) write_record(w, comp, rr);
   for (const auto& rr : msg.additional) write_record(w, comp, rr);
-}
-
-}  // namespace
-
-Bytes encode_dns(const DnsMessage& msg) {
-  ByteWriter w;
-  write_dns(w, msg);
-  return std::move(w).take();
-}
-
-PacketBuf encode_dns_buf(const DnsMessage& msg) {
-  ByteWriter w;
-  write_dns(w, msg);
   return std::move(w).take_buf();
 }
 

@@ -85,7 +85,7 @@ void Nameserver::on_query(const net::UdpEndpoint& from,
     response.rcode = Rcode::kNxDomain;
   }
 
-  PacketBuf wire = encode_dns_buf(response);
+  PacketBuf wire = encode_dns(response);
   if (config_.force_fragment_mtu != 0) {
     stack_.send_udp_fragmented(from.addr, kDnsPort, from.port,
                                std::move(wire), config_.force_fragment_mtu);

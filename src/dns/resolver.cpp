@@ -102,7 +102,7 @@ void Resolver::answer_from_cache(const net::UdpEndpoint& to, u16 id,
   resp.ra = true;
   resp.questions = {q};
   resp.answers = rrset;
-  stack_.send_udp(to.addr, kDnsPort, to.port, encode_dns_buf(resp));
+  stack_.send_udp(to.addr, kDnsPort, to.port, encode_dns(resp));
 }
 
 void Resolver::respond_empty(const net::UdpEndpoint& to, u16 id,
@@ -113,7 +113,7 @@ void Resolver::respond_empty(const net::UdpEndpoint& to, u16 id,
   resp.ra = true;
   resp.rcode = rcode;
   resp.questions = {q};
-  stack_.send_udp(to.addr, kDnsPort, to.port, encode_dns_buf(resp));
+  stack_.send_udp(to.addr, kDnsPort, to.port, encode_dns(resp));
 }
 
 void Resolver::start_upstream(const DnsQuestion& q,
@@ -168,7 +168,7 @@ void Resolver::send_upstream(Pending& p) {
   query.id = p.txid;
   query.rd = false;  // iterative upstream query
   query.questions = {p.question};
-  stack_.send_udp(p.upstream, p.src_port, kDnsPort, encode_dns_buf(query));
+  stack_.send_udp(p.upstream, p.src_port, kDnsPort, encode_dns(query));
 
   p.timeout.cancel();
   p.timeout = stack_.loop().schedule_after(
@@ -402,7 +402,7 @@ void StubResolver::resolve(const DnsName& name, RrType type, Callback cb,
   query.id = txid;
   query.rd = true;
   query.questions = {DnsQuestion{name, type}};
-  stack_.send_udp(resolver_, port, kDnsPort, encode_dns_buf(query));
+  stack_.send_udp(resolver_, port, kDnsPort, encode_dns(query));
 
   stack_.loop().schedule_after(timeout,
                                [finish] { finish({}); });

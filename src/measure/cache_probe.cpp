@@ -126,7 +126,7 @@ CacheProbeResult probe_open_resolvers(const CacheProbeConfig& config) {
     q.id = scanner.rng().next_u16();
     q.rd = rd;
     q.questions = {dns::DnsQuestion{name, type}};
-    scanner.send_udp(t->stack->addr(), port, kDnsPort, encode_dns_buf(q));
+    scanner.send_udp(t->stack->addr(), port, kDnsPort, encode_dns(q));
     loop.schedule_after(sim::Duration::seconds(2), [&scanner, port, done, cb] {
       if (*done) return;
       *done = true;

@@ -131,7 +131,7 @@ FragScanResult scan_domain_fragmentation(const FragScanConfig& config) {
     // TXT probe: elicits the domain's large response (the paper inflates
     // response sizes via long subdomains / record-rich names).
     query.questions = {dns::DnsQuestion{t->domain, dns::RrType::kTxt}};
-    scanner.send_udp(t->stack->addr(), port, kDnsPort, encode_dns_buf(query));
+    scanner.send_udp(t->stack->addr(), port, kDnsPort, encode_dns(query));
   }
   loop.run_for(sim::Duration::seconds(3));
 

@@ -82,7 +82,7 @@ RateLimitScanResult scan_pool_rate_limiting(
             query.mode = ntp::Mode::kClient;
             query.tx_time = 1.0;
             scanner.send_udp(t->stack->addr(), port, kNtpPort,
-                             encode_ntp_buf(query));
+                             encode_ntp(query));
           });
     }
   }

@@ -89,7 +89,7 @@ SharedResolverScanResult discover_shared_resolvers(
         dns::DnsName::from_string("open-" + s->token + ".scan.example"),
         dns::RrType::kA}};
     scanner.send_udp(s->resolver_stack->addr(), port, kDnsPort,
-                     encode_dns_buf(q));
+                     encode_dns(q));
   }
   loop.run_for(sim::Duration::seconds(5));
 

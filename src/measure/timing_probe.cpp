@@ -125,7 +125,7 @@ TimingProbeResult run_timing_probe(const TimingProbeConfig& config) {
             query.questions = {
                 dns::DnsQuestion{pool_ns_q, dns::RrType::kNs}};
             prober.send_udp(t->stack->addr(), port, kDnsPort,
-                            encode_dns_buf(query));
+                            encode_dns(query));
           });
     }
   }

@@ -4,9 +4,8 @@
 
 namespace dnstime::net {
 
-namespace {
-
-void write_icmp_frag_needed(ByteWriter& w, const IcmpFragNeeded& msg) {
+PacketBuf encode_icmp_frag_needed(const IcmpFragNeeded& msg) {
+  ByteWriter w;
   w.write_u8(kIcmpDestUnreachable);
   w.write_u8(kIcmpCodeFragNeeded);
   w.write_u16(0);  // checksum placeholder
@@ -20,16 +19,9 @@ void write_icmp_frag_needed(ByteWriter& w, const IcmpFragNeeded& msg) {
   orig.dst = msg.orig_dst;
   orig.protocol = msg.orig_protocol;
   orig.payload.assign(8, 0);
-  w.write_bytes(encode_buf(orig));
+  w.write_bytes(encode(orig));
   w.patch_u16(2, internet_checksum(w.data()));
-}
-
-}  // namespace
-
-Bytes encode_icmp_frag_needed(const IcmpFragNeeded& msg) {
-  ByteWriter w;
-  write_icmp_frag_needed(w, msg);
-  return std::move(w).take();
+  return std::move(w).take_buf();
 }
 
 IcmpFragNeeded decode_icmp_frag_needed(std::span<const u8> data) {
@@ -58,10 +50,8 @@ Ipv4Packet make_frag_needed_packet(Ipv4Addr router, Ipv4Addr target,
   pkt.src = router;
   pkt.dst = target;
   pkt.protocol = kProtoIcmp;
-  ByteWriter w;
-  write_icmp_frag_needed(w, IcmpFragNeeded{.mtu = mtu, .orig_src = orig_src,
-                                           .orig_dst = orig_dst});
-  pkt.payload = std::move(w).take_buf();
+  pkt.payload = encode_icmp_frag_needed(
+      IcmpFragNeeded{.mtu = mtu, .orig_src = orig_src, .orig_dst = orig_dst});
   return pkt;
 }
 

@@ -26,8 +26,9 @@ struct IcmpFragNeeded {
   u8 orig_protocol = kProtoUdp;
 };
 
-/// Encode a full ICMP message (type/code/checksum + MTU + embedded header).
-[[nodiscard]] Bytes encode_icmp_frag_needed(const IcmpFragNeeded& msg);
+/// Encode a full ICMP message (type/code/checksum + MTU + embedded header)
+/// into a pooled buffer.
+[[nodiscard]] PacketBuf encode_icmp_frag_needed(const IcmpFragNeeded& msg);
 
 /// Decode; throws DecodeError for anything but a well-formed type-3/code-4.
 [[nodiscard]] IcmpFragNeeded decode_icmp_frag_needed(std::span<const u8> data);

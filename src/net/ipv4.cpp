@@ -4,9 +4,8 @@
 
 namespace dnstime::net {
 
-namespace {
-
-void write_ipv4(ByteWriter& w, const Ipv4Packet& pkt) {
+PacketBuf encode(const Ipv4Packet& pkt) {
+  ByteWriter w;
   w.write_u8(0x45);  // version 4, IHL 5 (no options)
   w.write_u8(0);     // DSCP/ECN
   w.write_u16(static_cast<u16>(pkt.total_length()));
@@ -23,19 +22,6 @@ void write_ipv4(ByteWriter& w, const Ipv4Packet& pkt) {
   u16 csum = internet_checksum(w.data().subspan(0, kIpv4HeaderSize));
   w.patch_u16(10, csum);
   w.write_bytes(pkt.payload);
-}
-
-}  // namespace
-
-Bytes encode(const Ipv4Packet& pkt) {
-  ByteWriter w;
-  write_ipv4(w, pkt);
-  return std::move(w).take();
-}
-
-PacketBuf encode_buf(const Ipv4Packet& pkt) {
-  ByteWriter w;
-  write_ipv4(w, pkt);
   return std::move(w).take_buf();
 }
 

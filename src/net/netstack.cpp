@@ -86,8 +86,8 @@ void NetStack::send_udp(Ipv4Addr dst, u16 src_port, u16 dst_port,
   pkt.dst = dst;
   pkt.id = next_ipid(dst);
   pkt.protocol = kProtoUdp;
-  pkt.payload = encode_udp_buf(std::move(payload), src_port, dst_port, addr_,
-                               dst);
+  pkt.payload =
+      encode_udp(std::move(payload), src_port, dst_port, addr_, dst);
   DNSTIME_PROV_STAMP(pkt.payload, now().ns(), config_.origin_module, 0);
   u16 mtu = path_mtu(dst);
   if (pkt.total_length() <= mtu) {
@@ -111,8 +111,8 @@ void NetStack::send_udp_fragmented(Ipv4Addr dst, u16 src_port, u16 dst_port,
   pkt.dst = dst;
   pkt.id = next_ipid(dst);
   pkt.protocol = kProtoUdp;
-  pkt.payload = encode_udp_buf(std::move(payload), src_port, dst_port, addr_,
-                               dst);
+  pkt.payload =
+      encode_udp(std::move(payload), src_port, dst_port, addr_, dst);
   DNSTIME_PROV_STAMP(pkt.payload, now().ns(), config_.origin_module, 0);
   // Force at least two fragments even when the datagram would fit: split
   // at an 8-byte boundary strictly inside the payload.
@@ -193,7 +193,7 @@ void NetStack::handle_transport(const Ipv4Packet& pkt) {
   if (pkt.protocol != kProtoUdp) return;
   UdpDatagram dgram;
   try {
-    dgram = decode_udp_buf(pkt.payload, pkt.src, pkt.dst);
+    dgram = decode_udp(pkt.payload, pkt.src, pkt.dst);
   } catch (const DecodeError&) {
     // A reassembled datagram with a forged fragment that was not checksum
     // compensated dies here — the §III-3 hurdle.

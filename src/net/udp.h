@@ -17,28 +17,16 @@ struct UdpDatagram {
   PacketBuf payload;
 };
 
-/// Encode with checksum computed over pseudo header + UDP header + payload.
-[[nodiscard]] Bytes encode_udp(const UdpDatagram& dgram, Ipv4Addr src,
-                               Ipv4Addr dst);
+/// Prepends the 8-byte UDP header into `payload`'s headroom (every encoder
+/// reserves kPacketHeadroom) and patches the checksum, computed over
+/// pseudo header + UDP header + payload, in place — the datagram the
+/// netstack's send path hands to fragmentation.
+[[nodiscard]] PacketBuf encode_udp(PacketBuf payload, u16 src_port,
+                                   u16 dst_port, Ipv4Addr src, Ipv4Addr dst);
 
-/// Zero-copy encode: prepends the 8-byte UDP header into `payload`'s
-/// headroom (builders reserve kPacketHeadroom) and patches the checksum in
-/// place — the datagram the netstack's send path hands to fragmentation.
-[[nodiscard]] PacketBuf encode_udp_buf(PacketBuf payload, u16 src_port,
-                                       u16 dst_port, Ipv4Addr src,
-                                       Ipv4Addr dst);
-
-/// Decode and verify the checksum; throws DecodeError on mismatch.
-[[nodiscard]] UdpDatagram decode_udp(std::span<const u8> data, Ipv4Addr src,
+/// Decode and verify the checksum; throws DecodeError on mismatch. The
+/// returned datagram's payload is a zero-copy slice of `wire`.
+[[nodiscard]] UdpDatagram decode_udp(const PacketBuf& wire, Ipv4Addr src,
                                      Ipv4Addr dst);
-
-/// Zero-copy decode: the returned datagram's payload is a slice of `wire`
-/// (no byte copies). Same validation as the span overload.
-[[nodiscard]] UdpDatagram decode_udp_buf(const PacketBuf& wire, Ipv4Addr src,
-                                     Ipv4Addr dst);
-
-/// Compute the checksum that `encode_udp` would place in the header.
-[[nodiscard]] u16 udp_checksum(const UdpDatagram& dgram, Ipv4Addr src,
-                               Ipv4Addr dst);
 
 }  // namespace dnstime::net

@@ -55,7 +55,7 @@ void NtpClientBase::poll_server(Ipv4Addr server, PollCallback cb) {
   NtpPacket query;
   query.mode = Mode::kClient;
   query.tx_time = t1;
-  stack_.send_udp(server, port, kNtpPort, encode_ntp_buf(query));
+  stack_.send_udp(server, port, kNtpPort, encode_ntp(query));
 
   stack_.loop().schedule_after(config_.poll_timeout,
                                [finish] { finish(PollResult{}); });

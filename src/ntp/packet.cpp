@@ -4,9 +4,8 @@
 
 namespace dnstime::ntp {
 
-namespace {
-
-void write_ntp(ByteWriter& w, const NtpPacket& pkt) {
+PacketBuf encode_ntp(const NtpPacket& pkt) {
+  ByteWriter w;
   w.write_u8(static_cast<u8>((pkt.leap << 6) | ((pkt.version & 0x7) << 3) |
                              (static_cast<u8>(pkt.mode) & 0x7)));
   w.write_u8(pkt.stratum);
@@ -19,19 +18,6 @@ void write_ntp(ByteWriter& w, const NtpPacket& pkt) {
   w.write_u64(to_wire_timestamp(pkt.org_time));
   w.write_u64(to_wire_timestamp(pkt.rx_time));
   w.write_u64(to_wire_timestamp(pkt.tx_time));
-}
-
-}  // namespace
-
-Bytes encode_ntp(const NtpPacket& pkt) {
-  ByteWriter w;
-  write_ntp(w, pkt);
-  return std::move(w).take();
-}
-
-PacketBuf encode_ntp_buf(const NtpPacket& pkt) {
-  ByteWriter w;
-  write_ntp(w, pkt);
   return std::move(w).take_buf();
 }
 
@@ -61,40 +47,26 @@ constexpr u8 kConfigMagicReq = 0xC1;
 constexpr u8 kConfigMagicResp = 0xC2;
 }  // namespace
 
-Bytes encode_config_request() {
+PacketBuf encode_config_request() {
   ByteWriter w;
   w.write_u8(kConfigMagicReq);
   // Mode 6 in the LVM octet position for recognisability on the wire.
   w.write_u8(static_cast<u8>((4 << 3) | 6));
-  return std::move(w).take();
+  return std::move(w).take_buf();
 }
 
 bool is_config_request(std::span<const u8> data) {
   return data.size() == 2 && data[0] == kConfigMagicReq;
 }
 
-namespace {
-
-void write_config_response(ByteWriter& w, const ConfigResponse& resp) {
+PacketBuf encode_config_response(const ConfigResponse& resp) {
+  ByteWriter w;
   w.write_u8(kConfigMagicResp);
   w.write_u8(static_cast<u8>((4 << 3) | 6));
   w.write_u16(static_cast<u16>(resp.upstream_addrs.size()));
   for (auto addr : resp.upstream_addrs) w.write_u32(addr.value());
   w.write_u16(static_cast<u16>(resp.configured_hostname.size()));
   w.write_string(resp.configured_hostname);
-}
-
-}  // namespace
-
-Bytes encode_config_response(const ConfigResponse& resp) {
-  ByteWriter w;
-  write_config_response(w, resp);
-  return std::move(w).take();
-}
-
-PacketBuf encode_config_response_buf(const ConfigResponse& resp) {
-  ByteWriter w;
-  write_config_response(w, resp);
   return std::move(w).take_buf();
 }
 

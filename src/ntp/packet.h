@@ -44,9 +44,9 @@ struct NtpPacket {
   }
 };
 
-[[nodiscard]] Bytes encode_ntp(const NtpPacket& pkt);
-/// Pooled-buffer encode for the send paths (clients, servers, floods).
-[[nodiscard]] PacketBuf encode_ntp_buf(const NtpPacket& pkt);
+/// Encoders return pooled buffers with packet headroom — the payloads the
+/// send paths (clients, servers, floods) hand straight to the netstack.
+[[nodiscard]] PacketBuf encode_ntp(const NtpPacket& pkt);
 [[nodiscard]] NtpPacket decode_ntp(std::span<const u8> data);
 
 /// Mode-6/7 "configuration interface" messages. Real ntpd exposes peer
@@ -60,10 +60,9 @@ struct ConfigResponse {
   std::string configured_hostname;
 };
 
-[[nodiscard]] Bytes encode_config_request();
+[[nodiscard]] PacketBuf encode_config_request();
 [[nodiscard]] bool is_config_request(std::span<const u8> data);
-[[nodiscard]] Bytes encode_config_response(const ConfigResponse& resp);
-[[nodiscard]] PacketBuf encode_config_response_buf(const ConfigResponse& resp);
+[[nodiscard]] PacketBuf encode_config_response(const ConfigResponse& resp);
 [[nodiscard]] std::optional<ConfigResponse> decode_config_response(
     std::span<const u8> data);
 

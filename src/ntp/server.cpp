@@ -25,7 +25,7 @@ void NtpServer::on_packet(const net::UdpEndpoint& from,
       if (upstream_ != kAnyAddr) resp.upstream_addrs.push_back(upstream_);
       resp.configured_hostname = config_.configured_hostname;
       stack_.send_udp(from.addr, kNtpPort, from.port,
-                      encode_config_response_buf(resp));
+                      encode_config_response(resp));
     }
     return;
   }
@@ -52,7 +52,7 @@ void NtpServer::on_packet(const net::UdpEndpoint& from,
       kod.refid = kKodRate;
       kod.poll = query.poll;
       kod.org_time = query.tx_time;
-      stack_.send_udp(from.addr, kNtpPort, from.port, encode_ntp_buf(kod));
+      stack_.send_udp(from.addr, kNtpPort, from.port, encode_ntp(kod));
       return;
     }
     case RateLimiter::Action::kRespond:
@@ -70,7 +70,7 @@ void NtpServer::on_packet(const net::UdpEndpoint& from,
   resp.rx_time = wall;
   resp.tx_time = wall;
   responses_++;
-  stack_.send_udp(from.addr, kNtpPort, from.port, encode_ntp_buf(resp));
+  stack_.send_udp(from.addr, kNtpPort, from.port, encode_ntp(resp));
 }
 
 }  // namespace dnstime::ntp

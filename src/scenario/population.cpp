@@ -241,7 +241,7 @@ void ClientPopulation::begin_exchange(Ipv4Addr server, std::vector<u32> batch) {
   ntp::NtpPacket query;
   query.mode = ntp::Mode::kClient;
   query.tx_time = t1;
-  stack.send_udp(server, port, kNtpPort, ntp::encode_ntp_buf(query));
+  stack.send_udp(server, port, kNtpPort, ntp::encode_ntp(query));
 
   stack.loop().schedule_after(config_.poll_timeout,
                               [finish] { finish(kTimeout, 0.0); });

@@ -56,9 +56,7 @@ TEST(ChecksumFixer, EndToEndUdpChecksumSurvivesSplitAndSplice) {
   Bytes payload(300);
   Rng rng{11};
   for (auto& b : payload) b = static_cast<u8>(rng.uniform(0, 255));
-  net::UdpDatagram dgram{.src_port = 53, .dst_port = 4242,
-                         .payload = payload};
-  Bytes wire = net::encode_udp(dgram, src, dst);
+  Bytes wire = net::encode_udp(payload, 53, 4242, src, dst).to_bytes();
 
   const std::size_t split = 160;  // 8-aligned
   Bytes f2(wire.begin() + split, wire.end());

@@ -55,7 +55,7 @@ TEST_P(CraftSweep, CraftedFragmentSplicesOrRefuses) {
                      dns::RrType::kA};
 
   dns::DnsMessage template_msg = zone.peek_response(q);
-  Bytes template_wire = encode_dns(template_msg);
+  PacketBuf template_wire = encode_dns(template_msg);
 
   CraftConfig cc;
   cc.ns_addr = kNs;
@@ -74,10 +74,8 @@ TEST_P(CraftSweep, CraftedFragmentSplicesOrRefuses) {
   full.dst = kResolver;
   full.id = 0x77;
   full.protocol = net::kProtoUdp;
-  full.payload = net::encode_udp(
-      net::UdpDatagram{.src_port = 53, .dst_port = 5555,
-                       .payload = encode_dns(victim_msg)},
-      kNs, kResolver);
+  full.payload =
+      net::encode_udp(encode_dns(victim_msg), 53, 5555, kNs, kResolver);
   auto frags = net::fragment(full, tc.mtu);
   ASSERT_GE(frags.size(), 2u);
   // The crafter targets two-fragment splits; with more fragments the

@@ -42,7 +42,7 @@ CraftConfig config() {
 }
 
 TEST(FragmentCrafter, RewritesGlueRecords) {
-  Bytes wire = encode_dns(pool_response());
+  PacketBuf wire = encode_dns(pool_response());
   auto crafted = craft_spoofed_second_fragment(wire, config());
   ASSERT_TRUE(crafted);
   EXPECT_EQ(crafted->rewritten_records, 3u);  // all three glue A records
@@ -75,7 +75,7 @@ TEST(FragmentCrafter, EndToEndPoisonedReassemblyPassesAllChecks) {
   // prefers it; the result passes the UDP checksum and decodes to a DNS
   // message whose glue points at the attacker.
   dns::DnsMessage genuine = pool_response();
-  Bytes template_wire = encode_dns(genuine);
+  PacketBuf template_wire = encode_dns(genuine);
   CraftConfig cc = config();
   auto crafted = craft_spoofed_second_fragment(template_wire, cc);
   ASSERT_TRUE(crafted);
@@ -89,10 +89,8 @@ TEST(FragmentCrafter, EndToEndPoisonedReassemblyPassesAllChecks) {
   full.dst = kResolver;
   full.id = 0x4242;
   full.protocol = net::kProtoUdp;
-  full.payload = net::encode_udp(
-      net::UdpDatagram{.src_port = 53, .dst_port = 3333,
-                       .payload = encode_dns(victim_copy)},
-      kNs, kResolver);
+  full.payload =
+      net::encode_udp(encode_dns(victim_copy), 53, 3333, kNs, kResolver);
   auto frags = net::fragment(full, cc.mtu);
   ASSERT_EQ(frags.size(), 2u);
 
@@ -157,10 +155,8 @@ TEST(FragmentCrafter, TemplateWithDifferentRotationStillWorks) {
   full.dst = kResolver;
   full.id = 7;
   full.protocol = net::kProtoUdp;
-  full.payload = net::encode_udp(
-      net::UdpDatagram{.src_port = 53, .dst_port = 1111,
-                       .payload = encode_dns(victim_msg)},
-      kNs, kResolver);
+  full.payload =
+      net::encode_udp(encode_dns(victim_msg), 53, 1111, kNs, kResolver);
   auto frags = net::fragment(full, 296);
   ASSERT_EQ(frags.size(), 2u);
 

@@ -179,6 +179,16 @@ TEST(CampaignCli, ParsesValuesAndRejectsBadFlags) {
   EXPECT_TRUE(sweep.ok);
   EXPECT_EQ(sweep.filter, "sweep/");
   EXPECT_TRUE(sweep.json);
+
+  // A flag that cannot take effect is an error, not a silent no-op.
+  EXPECT_FALSE(parse({"--trace-index", "1"}).ok);  // needs --trace
+  EXPECT_TRUE(parse({"--trace", "t.json", "--trace-index", "1"}).ok);
+  EXPECT_FALSE(parse({"--dump-on", "always"}).ok);  // needs --dump
+  // Worker processes run single-threaded, so --threads cannot apply.
+  EXPECT_FALSE(
+      parse({"--workers", "2", "--journal", "j", "--threads", "2"}).ok);
+  EXPECT_TRUE(parse({"--workers", "2", "--journal", "j"}).ok);
+  EXPECT_TRUE(parse({"--workers", "1", "--threads", "2"}).ok);
 }
 
 TEST(CampaignCli, RejectsMalformedNumbersInsteadOfZeroingThem) {

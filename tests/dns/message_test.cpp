@@ -86,7 +86,7 @@ TEST(DnsMessage, RrsigRoundTrip) {
 
 TEST(DnsMessage, SpansLocateRdata) {
   DnsMessage m = sample_response();
-  Bytes wire = encode_dns(m);
+  Bytes wire = encode_dns(m).to_bytes();
   std::vector<RecordSpan> spans;
   (void)decode_dns(wire, &spans);
   ASSERT_EQ(spans.size(), 4u);

@@ -88,7 +88,7 @@ TEST(PoolZone, DelegationGlueFormsMessageTail) {
   EXPECT_EQ(resp.additional.size(), 3u);
 
   // On the wire, the glue A rdata must be the last record spans.
-  Bytes wire = encode_dns(resp);
+  PacketBuf wire = encode_dns(resp);
   std::vector<RecordSpan> spans;
   (void)decode_dns(wire, &spans);
   ASSERT_GE(spans.size(), 3u);

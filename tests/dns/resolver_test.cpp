@@ -136,11 +136,9 @@ TEST(Resolver, SpoofedResponseWithWrongTxidRejected) {
     pkt.src = w.ns_stack.addr();  // spoofed source
     pkt.dst = w.res_stack.addr();
     pkt.protocol = net::kProtoUdp;
-    pkt.payload = net::encode_udp(
-        net::UdpDatagram{.src_port = kDnsPort,
-                         .dst_port = static_cast<u16>(1024 + guess),
-                         .payload = encode_dns(forged)},
-        w.ns_stack.addr(), w.res_stack.addr());
+    pkt.payload = net::encode_udp(encode_dns(forged), kDnsPort,
+                                  static_cast<u16>(1024 + guess),
+                                  w.ns_stack.addr(), w.res_stack.addr());
     attacker.send_raw(pkt);
   }
   std::vector<ResourceRecord> got;

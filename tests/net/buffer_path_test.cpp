@@ -1,5 +1,5 @@
 // Property tests for the pooled zero-copy packet path against the frozen
-// pre-refactor copy path (bench/legacy_packet_path.h), plus the pool-leak
+// pre-refactor copy path (legacy_packet_path.h), plus the pool-leak
 // instrumentation contract: every PacketBuf returns to its pool at trial
 // teardown.
 #include <gtest/gtest.h>
@@ -7,10 +7,10 @@
 #include <algorithm>
 #include <vector>
 
-#include "bench/legacy_packet_path.h"
 #include "common/buffer.h"
 #include "common/origin.h"
 #include "common/rng.h"
+#include "legacy_packet_path.h"
 #include "net/fragmentation.h"
 #include "net/netstack.h"
 #include "net/reassembly.h"
@@ -53,14 +53,14 @@ TEST(BufferPathProperty, FragmentReassembleRoundTripMatchesLegacyPath) {
       pkt.id = static_cast<u16>(rng.next_u16());
       pkt.payload = PacketBuf::copy_of(payload);
 
-      bench_legacy::Ipv4Packet old_pkt;
+      legacy::Ipv4Packet old_pkt;
       old_pkt.src = pkt.src;
       old_pkt.dst = pkt.dst;
       old_pkt.id = pkt.id;
       old_pkt.payload = payload;
 
       auto frags = fragment(pkt, mtu);
-      auto old_frags = bench_legacy::fragment(old_pkt, mtu);
+      auto old_frags = legacy::fragment(old_pkt, mtu);
       ASSERT_EQ(frags.size(), old_frags.size()) << size << "@" << mtu;
 
       // Same shuffled arrival order on both sides.
@@ -74,9 +74,9 @@ TEST(BufferPathProperty, FragmentReassembleRoundTripMatchesLegacyPath) {
       }
 
       ReassemblyCache cache;
-      bench_legacy::ReassemblyCache old_cache;
+      legacy::ReassemblyCache old_cache;
       std::optional<Ipv4Packet> full;
-      std::optional<bench_legacy::Ipv4Packet> old_full;
+      std::optional<legacy::Ipv4Packet> old_full;
       for (std::size_t k : order) {
         auto done = cache.insert(frags[k], sim::Time{});
         auto old_done = old_cache.insert(old_frags[k], sim::Time{});
@@ -119,9 +119,9 @@ TEST(BufferPathProperty, CraftedOverlapsMatchLegacyPath) {
     parts.emplace_back(final_off, random_payload(rng, rng.uniform(1, 24)));
 
     ReassemblyCache cache;
-    bench_legacy::ReassemblyCache old_cache;
+    legacy::ReassemblyCache old_cache;
     std::optional<Ipv4Packet> full;
-    std::optional<bench_legacy::Ipv4Packet> old_full;
+    std::optional<legacy::Ipv4Packet> old_full;
     for (std::size_t f = 0; f < parts.size(); ++f) {
       Ipv4Packet frag;
       frag.src = Ipv4Addr{1, 2, 3, 4};
@@ -131,7 +131,7 @@ TEST(BufferPathProperty, CraftedOverlapsMatchLegacyPath) {
       frag.more_fragments = f + 1 < parts.size();
       frag.payload = PacketBuf::copy_of(parts[f].second);
 
-      bench_legacy::Ipv4Packet old_frag;
+      legacy::Ipv4Packet old_frag;
       old_frag.src = frag.src;
       old_frag.dst = frag.dst;
       old_frag.id = frag.id;

@@ -12,7 +12,7 @@ TEST(IcmpCodec, FragNeededRoundTrip) {
                      .orig_src = Ipv4Addr{10, 0, 0, 1},
                      .orig_dst = Ipv4Addr{10, 0, 0, 2},
                      .orig_protocol = kProtoUdp};
-  Bytes wire = encode_icmp_frag_needed(msg);
+  PacketBuf wire = encode_icmp_frag_needed(msg);
   IcmpFragNeeded back = decode_icmp_frag_needed(wire);
   EXPECT_EQ(back.mtu, 296);
   EXPECT_EQ(back.orig_src, msg.orig_src);
@@ -23,7 +23,8 @@ TEST(IcmpCodec, FragNeededRoundTrip) {
 TEST(IcmpCodec, ChecksumDetectsCorruption) {
   Bytes wire = encode_icmp_frag_needed(
       IcmpFragNeeded{.mtu = 68, .orig_src = Ipv4Addr{1, 1, 1, 1},
-                     .orig_dst = Ipv4Addr{2, 2, 2, 2}});
+                     .orig_dst = Ipv4Addr{2, 2, 2, 2}})
+                   .to_bytes();
   wire[6] ^= 0x01;
   EXPECT_THROW((void)decode_icmp_frag_needed(wire), DecodeError);
 }
@@ -31,7 +32,8 @@ TEST(IcmpCodec, ChecksumDetectsCorruption) {
 TEST(IcmpCodec, RejectsOtherTypes) {
   Bytes wire = encode_icmp_frag_needed(
       IcmpFragNeeded{.mtu = 68, .orig_src = Ipv4Addr{1, 1, 1, 1},
-                     .orig_dst = Ipv4Addr{2, 2, 2, 2}});
+                     .orig_dst = Ipv4Addr{2, 2, 2, 2}})
+                   .to_bytes();
   wire[0] = 8;  // echo request
   // Fix checksum so the type check (not the checksum) rejects it.
   wire[2] = 0;

@@ -20,7 +20,7 @@ Ipv4Packet sample() {
 
 TEST(Ipv4Codec, RoundTrip) {
   Ipv4Packet pkt = sample();
-  Bytes wire = encode(pkt);
+  PacketBuf wire = encode(pkt);
   ASSERT_EQ(wire.size(), kIpv4HeaderSize + 5);
   Ipv4Packet back = decode_ipv4(wire);
   EXPECT_EQ(back.src, pkt.src);
@@ -36,7 +36,7 @@ TEST(Ipv4Codec, FragmentFieldsRoundTrip) {
   Ipv4Packet pkt = sample();
   pkt.more_fragments = true;
   pkt.frag_offset_units = 34;
-  Bytes wire = encode(pkt);
+  PacketBuf wire = encode(pkt);
   Ipv4Packet back = decode_ipv4(wire);
   EXPECT_TRUE(back.more_fragments);
   EXPECT_EQ(back.frag_offset_units, 34);
@@ -51,24 +51,24 @@ TEST(Ipv4Codec, DontFragmentBitRoundTrips) {
 }
 
 TEST(Ipv4Codec, HeaderChecksumIsValid) {
-  Bytes wire = encode(sample());
-  EXPECT_EQ(internet_checksum(std::span(wire).subspan(0, kIpv4HeaderSize)), 0);
+  PacketBuf wire = encode(sample());
+  EXPECT_EQ(internet_checksum(wire.span().subspan(0, kIpv4HeaderSize)), 0);
 }
 
 TEST(Ipv4Codec, CorruptedHeaderRejected) {
-  Bytes wire = encode(sample());
+  Bytes wire = encode(sample()).to_bytes();
   wire[8] ^= 0xFF;  // flip TTL without fixing checksum
   EXPECT_THROW((void)decode_ipv4(wire), DecodeError);
 }
 
 TEST(Ipv4Codec, TruncatedInputRejected) {
-  Bytes wire = encode(sample());
+  Bytes wire = encode(sample()).to_bytes();
   wire.resize(10);
   EXPECT_THROW((void)decode_ipv4(wire), DecodeError);
 }
 
 TEST(Ipv4Codec, NonIpv4Rejected) {
-  Bytes wire = encode(sample());
+  Bytes wire = encode(sample()).to_bytes();
   wire[0] = 0x65;  // version 6
   EXPECT_THROW((void)decode_ipv4(wire), DecodeError);
 }

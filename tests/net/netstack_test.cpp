@@ -150,9 +150,7 @@ TEST(NetStack, SpoofedRawPacketCarriesForgedSource) {
   pkt.src = h.a.addr();  // forged: claims to be host a
   pkt.dst = h.b.addr();
   pkt.protocol = kProtoUdp;
-  pkt.payload = encode_udp(UdpDatagram{.src_port = 123, .dst_port = 123,
-                                       .payload = Bytes{42}},
-                           h.a.addr(), h.b.addr());
+  pkt.payload = encode_udp({42}, 123, 123, h.a.addr(), h.b.addr());
   attacker.send_raw(pkt);
   h.loop.run_for(Duration::seconds(1));
   EXPECT_EQ(from.addr, h.a.addr());  // victim believes it came from a

@@ -9,19 +9,17 @@ const Ipv4Addr kSrc{192, 0, 2, 10};
 const Ipv4Addr kDst{203, 0, 113, 5};
 
 TEST(UdpCodec, RoundTrip) {
-  UdpDatagram d{.src_port = 5353, .dst_port = 53, .payload = {9, 8, 7}};
-  Bytes wire = encode_udp(d, kSrc, kDst);
+  PacketBuf wire = encode_udp({9, 8, 7}, 5353, 53, kSrc, kDst);
   ASSERT_EQ(wire.size(), kUdpHeaderSize + 3);
   UdpDatagram back = decode_udp(wire, kSrc, kDst);
   EXPECT_EQ(back.src_port, 5353);
   EXPECT_EQ(back.dst_port, 53);
-  EXPECT_EQ(back.payload, d.payload);
+  EXPECT_EQ(back.payload, (Bytes{9, 8, 7}));
 }
 
 TEST(UdpCodec, ChecksumDetectsPayloadCorruption) {
-  UdpDatagram d{.src_port = 1, .dst_port = 2,
-                .payload = {0x10, 0x20, 0x30, 0x40}};
-  Bytes wire = encode_udp(d, kSrc, kDst);
+  Bytes wire = encode_udp({0x10, 0x20, 0x30, 0x40}, 1, 2, kSrc, kDst)
+                   .to_bytes();
   wire[kUdpHeaderSize + 1] ^= 0x55;
   EXPECT_THROW((void)decode_udp(wire, kSrc, kDst), DecodeError);
 }
@@ -29,15 +27,13 @@ TEST(UdpCodec, ChecksumDetectsPayloadCorruption) {
 TEST(UdpCodec, ChecksumBindsAddresses) {
   // Same bytes, different pseudo header => checksum failure. This is why
   // the attacker must spoof the genuine nameserver's source address.
-  UdpDatagram d{.src_port = 1, .dst_port = 2, .payload = {1, 2, 3}};
-  Bytes wire = encode_udp(d, kSrc, kDst);
+  PacketBuf wire = encode_udp({1, 2, 3}, 1, 2, kSrc, kDst);
   EXPECT_THROW((void)decode_udp(wire, Ipv4Addr{1, 2, 3, 4}, kDst),
                DecodeError);
 }
 
 TEST(UdpCodec, ZeroChecksumSkipsVerification) {
-  UdpDatagram d{.src_port = 7, .dst_port = 9, .payload = {5}};
-  Bytes wire = encode_udp(d, kSrc, kDst);
+  Bytes wire = encode_udp({5}, 7, 9, kSrc, kDst).to_bytes();
   wire[6] = 0;
   wire[7] = 0;  // checksum = 0 means "not computed"
   UdpDatagram back = decode_udp(wire, kSrc, kDst);
@@ -45,14 +41,13 @@ TEST(UdpCodec, ZeroChecksumSkipsVerification) {
 }
 
 TEST(UdpCodec, EmptyPayload) {
-  UdpDatagram d{.src_port = 1, .dst_port = 1, .payload = {}};
-  UdpDatagram back = decode_udp(encode_udp(d, kSrc, kDst), kSrc, kDst);
+  UdpDatagram back =
+      decode_udp(encode_udp(PacketBuf{}, 1, 1, kSrc, kDst), kSrc, kDst);
   EXPECT_TRUE(back.payload.empty());
 }
 
 TEST(UdpCodec, BadLengthRejected) {
-  UdpDatagram d{.src_port = 1, .dst_port = 1, .payload = {1, 2, 3, 4}};
-  Bytes wire = encode_udp(d, kSrc, kDst);
+  Bytes wire = encode_udp({1, 2, 3, 4}, 1, 1, kSrc, kDst).to_bytes();
   wire[4] = 0;
   wire[5] = 3;  // length < header size
   EXPECT_THROW((void)decode_udp(wire, kSrc, kDst), DecodeError);

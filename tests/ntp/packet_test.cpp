@@ -20,7 +20,7 @@ TEST(NtpPacket, RoundTrip) {
   pkt.org_time = kSimEpochNtpSeconds + 1.25;
   pkt.rx_time = kSimEpochNtpSeconds + 1.5;
   pkt.tx_time = kSimEpochNtpSeconds + 1.75;
-  Bytes wire = encode_ntp(pkt);
+  PacketBuf wire = encode_ntp(pkt);
   ASSERT_EQ(wire.size(), 48u);
   NtpPacket back = decode_ntp(wire);
   EXPECT_EQ(back.mode, Mode::kServer);
@@ -44,7 +44,7 @@ TEST(NtpPacket, KodDetection) {
   kod.refid = kKodRate;
   EXPECT_TRUE(kod.is_kod());
   EXPECT_TRUE(kod.is_rate_kod());
-  Bytes wire = encode_ntp(kod);
+  PacketBuf wire = encode_ntp(kod);
   EXPECT_TRUE(decode_ntp(wire).is_rate_kod());
 
   NtpPacket normal;
