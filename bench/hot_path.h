@@ -5,6 +5,9 @@
 //
 // CLI: [--scale N] [--repeat N] [--out FILE]
 //      [--flight-recorder [--baseline-out FILE]]
+// --scale and --repeat take positive decimal integers (--scale at least
+// the bench's minimum); anything else (garbage, trailing junk, negatives,
+// 0) is a usage error, exit 2.
 //
 // JSON: {"bench":B,"scale":N,"workloads":[{"name":W,"<unit>":U,
 // "new_s":S,"new_<unit>_per_sec":R},...]}. The overhead gate reads the
@@ -14,7 +17,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "campaign/cli.h"
 #include "common/types.h"
 #include "obs/provenance.h"
 
@@ -30,21 +33,41 @@ namespace dnstime::bench {
 class HotPathBench {
  public:
   /// `unit` names what the workloads count ("events", "packets");
-  /// `default_scale` is the --scale default.
-  HotPathBench(std::string name, std::string unit, u64 default_scale)
+  /// `default_scale` is the --scale default and `min_scale` the smallest
+  /// --scale every workload still does work at.
+  HotPathBench(std::string name, std::string unit, u64 default_scale,
+               u64 min_scale = 1)
       : name_(std::move(name)),
         unit_(std::move(unit)),
         scale_(default_scale),
+        min_scale_(min_scale),
         out_path_("BENCH_" + name_ + ".json") {}
 
   /// Parses the shared CLI; false (after printing the problem) on error.
   bool parse(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
+      u64 value = 0;
       if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
-        scale_ = std::strtoull(argv[++i], nullptr, 10);
+        if (!campaign::parse_u64_token(argv[++i], value) ||
+            value < min_scale_) {
+          std::fprintf(stderr,
+                       "%s: invalid value '%s' for flag '--scale' (want an "
+                       "integer >= %llu)\n",
+                       argv[0], argv[i],
+                       static_cast<unsigned long long>(min_scale_));
+          return false;
+        }
+        scale_ = value;
       } else if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
-        repeat_ = std::atoi(argv[++i]);
-        if (repeat_ < 1) repeat_ = 1;
+        if (!campaign::parse_u64_token(argv[++i], value) || value == 0 ||
+            value > static_cast<u64>(std::numeric_limits<int>::max())) {
+          std::fprintf(stderr,
+                       "%s: invalid value '%s' for flag '--repeat' (want a "
+                       "positive integer)\n",
+                       argv[0], argv[i]);
+          return false;
+        }
+        repeat_ = static_cast<int>(value);
       } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
         out_path_ = argv[++i];
       } else if (std::strcmp(argv[i], "--baseline-out") == 0 &&
@@ -163,6 +186,7 @@ class HotPathBench {
   std::string name_;
   std::string unit_;
   u64 scale_;
+  u64 min_scale_;
   int repeat_ = 3;
   std::string out_path_;
   std::string baseline_out_;

@@ -123,7 +123,9 @@ int main(int argc, char** argv) {
   // With --flight-recorder the packet path runs exactly as a trial does
   // under the always-on recorder: every packet stamped, every completed
   // reassembly recorded into the ring.
-  HotPathBench bench("netstack", "packets", 400'000);
+  // Two workloads run at scale / 4, so --scale below 4 would leave them
+  // with nothing to do.
+  HotPathBench bench("netstack", "packets", 400'000, /*min_scale=*/4);
   if (!bench.parse(argc, argv)) return 2;
   const u64 scale = bench.scale();
 

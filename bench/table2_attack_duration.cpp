@@ -19,8 +19,6 @@
 
 #include "bench_util.h"
 #include "campaign/cli.h"
-#include "campaign/dist/coordinator.h"
-#include "campaign/dist/worker.h"
 #include "campaign/runner.h"
 
 using namespace dnstime;
@@ -32,19 +30,11 @@ int main(int argc, char** argv) {
   if (!opts.ok) return 2;
 
   auto scenarios = campaign::ScenarioRegistry::builtin().select("table2/");
-  if (opts.dist.worker_mode) {
-    return campaign::dist::run_worker(opts.config, scenarios, opts.dist);
-  }
 
   bench::header("Table II - Run-time attack duration against clients");
   campaign::CampaignReport report;
   try {
-    if (opts.dist.workers >= 2) {
-      report = campaign::dist::run_coordinator(opts.config, scenarios,
-                                               opts.dist);
-    } else {
-      report = campaign::CampaignRunner(opts.config).run(scenarios);
-    }
+    report = campaign::CampaignRunner(opts.config).run(scenarios);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "campaign failed: %s\n", e.what());
     return 1;

@@ -4,20 +4,19 @@
 //
 // Usage: example_campaign_sweep [--trials N] [--threads T] [--seed S]
 //                               [--journal DIR] [--resume] [--out PATH]
-//                               [--filter PREFIX] [--json] [--workers N]
+//                               [--filter PREFIX] [--json]
 //   --filter selects scenarios by name prefix (default "sweep/");
 //   --json prints the machine-readable report instead of the table;
 //   --out writes the report to a file instead of stdout;
+//   --threads T runs the trials on T worker threads (0 = all cores) — the
+//   report is byte-identical at any T;
 //   --journal streams every trial into an on-disk shard journal and
-//   --resume continues a journaled campaign that was killed partway;
-//   --workers N fans the campaign out over N worker processes (requires
-//   --journal) — the report stays byte-identical to a 1-process run.
+//   --resume continues a journaled campaign that was killed partway,
+//   re-executing only the trials its journal lacks.
 #include <cstdio>
 #include <string>
 
 #include "campaign/cli.h"
-#include "campaign/dist/coordinator.h"
-#include "campaign/dist/worker.h"
 #include "campaign/runner.h"
 
 using namespace dnstime;
@@ -38,39 +37,25 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Hidden worker mode: this process was spawned by a coordinator and
-  // only executes leases — it prints no banner and writes no report.
-  if (opts.dist.worker_mode) {
-    return campaign::dist::run_worker(opts.config, scenarios, opts.dist);
-  }
-
   // Banner and progress go to stderr: with --json, stdout is exactly one
   // parseable report.
   std::fprintf(stderr, "campaign: %zu scenario(s) x %u trial(s), seed %llu\n\n",
                scenarios.size(), opts.config.trials,
                static_cast<unsigned long long>(opts.config.seed));
+  campaign::CampaignRunner runner(opts.config);
+  u32 done = 0;
+  const u32 total = static_cast<u32>(scenarios.size()) * opts.config.trials;
+  runner.set_progress([&](const campaign::ScenarioSpec& spec,
+                          const campaign::TrialResult& r) {
+    std::fprintf(stderr, "  [%3u/%3u] %-24s trial %u: %s\n", ++done, total,
+                 spec.name.c_str(), r.trial,
+                 !r.error.empty() ? "ERROR"
+                 : r.success      ? "ok"
+                                  : "no-shift");
+  });
   campaign::CampaignReport report;
   try {
-    if (opts.dist.workers >= 2) {
-      // Multi-process: per-trial progress lives in the --progress
-      // directory (see tools/campaign_watch), not on stderr.
-      report = campaign::dist::run_coordinator(opts.config, scenarios,
-                                               opts.dist);
-    } else {
-      campaign::CampaignRunner runner(opts.config);
-      u32 done = 0;
-      const u32 total =
-          static_cast<u32>(scenarios.size()) * opts.config.trials;
-      runner.set_progress([&](const campaign::ScenarioSpec& spec,
-                              const campaign::TrialResult& r) {
-        std::fprintf(stderr, "  [%3u/%3u] %-24s trial %u: %s\n", ++done,
-                     total, spec.name.c_str(), r.trial,
-                     !r.error.empty() ? "ERROR"
-                     : r.success      ? "ok"
-                                      : "no-shift");
-      });
-      report = runner.run(scenarios);
-    }
+    report = runner.run(scenarios);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "campaign failed: %s\n", e.what());
     return 1;

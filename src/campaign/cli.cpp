@@ -22,23 +22,9 @@ void usage(const char* prog, bool scenario_flags) {
                "       [--metrics] [--trace FILE] [--trace-index N]\n"
                "       [--dump DIR] [--dump-on auto|error|timeout|"
                "attack-failed|always]\n"
-               "       [--progress FILE] [--workers N] "
+               "       [--progress FILE] "
                "[--log-level trace|debug|info|warn|off]%s\n",
                prog, scenario_flags ? " [--filter PREFIX]" : "");
-}
-
-/// Strict unsigned-decimal token parse. std::strtoull alone accepts
-/// leading whitespace, '+'/'-' (negatives wrap around!) and stops at
-/// trailing junk — all of which must be errors for a flag value.
-bool parse_u64_token(const char* s, u64& out) {
-  if (s == nullptr || *s == '\0') return false;
-  if (!std::isdigit(static_cast<unsigned char>(*s))) return false;
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno == ERANGE || *end != '\0') return false;
-  out = v;
-  return true;
 }
 
 /// Process-wide buffer-pool stats as JSON: totals plus a sparse per-class
@@ -89,6 +75,17 @@ std::string metrics_json() {
 
 }  // namespace
 
+bool parse_u64_token(const char* s, u64& out) {
+  if (s == nullptr || *s == '\0') return false;
+  if (!std::isdigit(static_cast<unsigned char>(*s))) return false;
+  errno = 0;
+  char* end = nullptr;
+  unsigned long long v = std::strtoull(s, &end, 10);
+  if (errno == ERANGE || *end != '\0') return false;
+  out = v;
+  return true;
+}
+
 CliOptions parse_cli(int argc, char** argv, CliOptions defaults,
                      bool scenario_flags) {
   CliOptions opts = std::move(defaults);
@@ -101,7 +98,6 @@ CliOptions parse_cli(int argc, char** argv, CliOptions defaults,
   };
   // Flags that only take effect together with another flag; seeing one
   // alone is an error, not a silent no-op.
-  bool threads_set = false;
   bool trace_index_set = false;
   bool dump_on_set = false;
   for (int i = 1; i < argc; ++i) {
@@ -118,17 +114,7 @@ CliOptions parse_cli(int argc, char** argv, CliOptions defaults,
       opts.metrics = true;
       continue;
     }
-    if (std::strcmp(flag, "--dist-worker") == 0) {
-      opts.dist.worker_mode = true;
-      continue;
-    }
     const bool takes_value =
-        std::strcmp(flag, "--workers") == 0 ||
-        std::strcmp(flag, "--dist-fd-in") == 0 ||
-        std::strcmp(flag, "--dist-fd-out") == 0 ||
-        std::strcmp(flag, "--dist-worker-id") == 0 ||
-        std::strcmp(flag, "--dist-kill-worker") == 0 ||
-        std::strcmp(flag, "--dist-kill-after") == 0 ||
         std::strcmp(flag, "--trials") == 0 ||
         std::strcmp(flag, "--threads") == 0 ||
         std::strcmp(flag, "--seed") == 0 ||
@@ -172,7 +158,6 @@ CliOptions parse_cli(int argc, char** argv, CliOptions defaults,
         return fail();
       }
       opts.config.threads = static_cast<u32>(parsed);
-      threads_set = true;
     } else if (std::strcmp(flag, "--seed") == 0) {
       if (!parse_u64_token(value, parsed)) {
         std::fprintf(stderr,
@@ -206,55 +191,6 @@ CliOptions parse_cli(int argc, char** argv, CliOptions defaults,
       dump_on_set = true;
     } else if (std::strcmp(flag, "--progress") == 0) {
       opts.config.progress_path = value;
-    } else if (std::strcmp(flag, "--workers") == 0) {
-      if (!parse_u64_token(value, parsed) || parsed > 256) {
-        std::fprintf(stderr,
-                     "%s: invalid value '%s' for flag '--workers' "
-                     "(want an integer in 0..256; >= 2 runs that many "
-                     "worker processes)\n",
-                     argv[0], value);
-        return fail();
-      }
-      opts.dist.workers = static_cast<u32>(parsed);
-    } else if (std::strcmp(flag, "--dist-fd-in") == 0 ||
-               std::strcmp(flag, "--dist-fd-out") == 0) {
-      if (!parse_u64_token(value, parsed) ||
-          parsed > std::numeric_limits<int>::max()) {
-        std::fprintf(stderr,
-                     "%s: invalid value '%s' for flag '%s' "
-                     "(want an inherited file descriptor number)\n",
-                     argv[0], value, flag);
-        return fail();
-      }
-      (std::strcmp(flag, "--dist-fd-in") == 0 ? opts.dist.fd_in
-                                              : opts.dist.fd_out) =
-          static_cast<int>(parsed);
-    } else if (std::strcmp(flag, "--dist-worker-id") == 0) {
-      if (!parse_u64_token(value, parsed) || parsed > 256) {
-        std::fprintf(stderr,
-                     "%s: invalid value '%s' for flag '--dist-worker-id'\n",
-                     argv[0], value);
-        return fail();
-      }
-      opts.dist.worker_id = static_cast<u32>(parsed);
-    } else if (std::strcmp(flag, "--dist-kill-worker") == 0) {
-      if (!parse_u64_token(value, parsed) || parsed > 256) {
-        std::fprintf(stderr,
-                     "%s: invalid value '%s' for flag '--dist-kill-worker' "
-                     "(want a worker index)\n",
-                     argv[0], value);
-        return fail();
-      }
-      opts.dist.kill_worker = static_cast<int>(parsed);
-    } else if (std::strcmp(flag, "--dist-kill-after") == 0) {
-      if (!parse_u64_token(value, parsed)) {
-        std::fprintf(stderr,
-                     "%s: invalid value '%s' for flag '--dist-kill-after' "
-                     "(want a trial count)\n",
-                     argv[0], value);
-        return fail();
-      }
-      opts.dist.kill_after = parsed;
     } else if (std::strcmp(flag, "--trace-index") == 0) {
       if (!parse_u64_token(value, parsed)) {
         std::fprintf(stderr,
@@ -293,54 +229,6 @@ CliOptions parse_cli(int argc, char** argv, CliOptions defaults,
     std::fprintf(stderr, "%s: '--resume' requires '--journal DIR'\n",
                  argv[0]);
     return fail();
-  }
-  if (opts.dist.worker_mode &&
-      (opts.dist.fd_in < 0 || opts.dist.fd_out < 0 ||
-       opts.config.journal_dir.empty())) {
-    std::fprintf(stderr,
-                 "%s: '--dist-worker' needs '--dist-fd-in N', "
-                 "'--dist-fd-out N' and '--journal DIR' (it is spawned by "
-                 "the coordinator, not invoked by hand)\n",
-                 argv[0]);
-    return fail();
-  }
-  if (!opts.dist.worker_mode && opts.dist.workers >= 2) {
-    if (opts.config.journal_dir.empty()) {
-      std::fprintf(stderr, "%s: '--workers' requires '--journal DIR'\n",
-                   argv[0]);
-      return fail();
-    }
-    if (!opts.config.trace_path.empty() || !opts.config.dump_dir.empty()) {
-      std::fprintf(stderr,
-                   "%s: '--trace'/'--dump' are not supported with "
-                   "'--workers' (trials execute in worker processes)\n",
-                   argv[0]);
-      return fail();
-    }
-    if (threads_set) {
-      std::fprintf(stderr,
-                   "%s: '--threads' has no effect with '--workers' (each "
-                   "worker process runs its trials on one thread)\n",
-                   argv[0]);
-      return fail();
-    }
-    // argv for worker re-exec: everything except the coordinator-only
-    // flags (--workers would recurse; the kill hook must fire exactly
-    // once, in the coordinator).
-    opts.dist.respawn_args.emplace_back(argv[0]);
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--workers") == 0 ||
-          std::strcmp(argv[i], "--dist-kill-worker") == 0 ||
-          std::strcmp(argv[i], "--dist-kill-after") == 0) {
-        i++;  // skip the flag's value too
-        continue;
-      }
-      // Workers never scan or resume the journal — the coordinator already
-      // validated and cleaned it — and their report/metrics flags would be
-      // dead weight; strip the ones that change observable behaviour.
-      if (std::strcmp(argv[i], "--resume") == 0) continue;
-      opts.dist.respawn_args.emplace_back(argv[i]);
-    }
   }
   if (!opts.config.dump_dir.empty() && !DNSTIME_OBS) {
     std::fprintf(stderr,

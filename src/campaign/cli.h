@@ -3,15 +3,24 @@
 // behaviour: unknown flags, missing values and malformed numbers are
 // reported, not silently skipped or zeroed. Because journaling lives in
 // CampaignConfig, --journal/--resume give every campaign tool
-// crash-resumable persistence with no bespoke flag code.
+// crash-resumable persistence with no bespoke flag code. Every tool
+// executes its trials one way — CampaignRunner on --threads worker threads
+// of one process — so every flag here takes effect on every campaign.
 #pragma once
 
 #include <string>
 
-#include "campaign/dist/options.h"
 #include "campaign/runner.h"
+#include "common/types.h"
 
 namespace dnstime::campaign {
+
+/// Strict unsigned-decimal token parse for flag values: the whole token
+/// must be decimal digits and fit in a u64. std::strtoull alone accepts
+/// leading whitespace, '+'/'-' (negatives wrap around!) and stops at
+/// trailing junk — all of which must be errors for a flag value. Shared
+/// by every CLI in the repo so none of them parses numbers more loosely.
+[[nodiscard]] bool parse_u64_token(const char* s, u64& out);
 
 struct CliOptions {
   CampaignConfig config;
@@ -20,38 +29,25 @@ struct CliOptions {
   bool json = false;
   bool metrics = false;  ///< --metrics: append process telemetry to report
   bool ok = true;  ///< false => a parse error was printed to stderr
-  /// Multi-process distribution: --workers N plus the hidden --dist-*
-  /// worker wiring and kill-injection flags (campaign/dist/options.h).
-  /// Tools dispatch with dist.worker_mode -> dist::run_worker,
-  /// dist.workers >= 2 -> dist::run_coordinator, else CampaignRunner.
-  dist::DistOptions dist;
 };
 
 /// Parses the shared campaign flags: --trials N, --threads T, --seed S,
 /// --journal DIR, --resume, --out PATH, --json, --metrics, --trace FILE,
 /// --trace-index N, --dump DIR, --dump-on PRED, --progress FILE,
-/// --workers N, --log-level LEVEL and (when `scenario_flags` is set)
-/// --filter PREFIX.
-/// --workers N (N >= 2) selects the multi-process coordinator; it
-/// requires --journal and rejects --trace/--dump (trials execute in other
-/// processes) and --threads (the process is the unit of parallelism;
-/// workers run single-threaded). In distributed mode
-/// --progress names a directory of per-process JSONL files, not a file.
-/// The hidden worker/fault-injection flags (--dist-worker, --dist-fd-in,
-/// --dist-fd-out, --dist-worker-id, --dist-kill-worker, --dist-kill-after)
-/// land in CliOptions::dist; respawn_args records argv with --workers and
-/// --dist-kill-* stripped so the coordinator can re-exec this binary as
-/// workers.
+/// --log-level LEVEL and (when `scenario_flags` is set) --filter PREFIX.
+/// Trials run on --threads worker threads of this process; --journal plus
+/// --resume is the crash-recovery path (a killed run continues where its
+/// journal ends).
 /// `defaults` seeds the returned options. --dump/--dump-on/--progress
 /// land in CampaignConfig::dump_dir/dump_on/progress_path (narrative
 /// dumps and the live progress stream; see runner.h).
 /// --log-level applies immediately (Logger::set_level); --trace/--trace-index
 /// land in CampaignConfig::trace_path/trace_index. A flag that cannot take
 /// effect is an error: --trace-index without --trace, --dump-on without
-/// --dump. Numeric values must be
-/// full unsigned-decimal tokens in range — garbage, trailing junk,
-/// negatives and overflow are reported like unknown flags (never silently
-/// parsed as 0), and --trials additionally rejects 0.
+/// --dump, --resume without --journal. Numeric values must be full
+/// unsigned-decimal tokens in range (parse_u64_token) — garbage, trailing
+/// junk, negatives and overflow are reported like unknown flags (never
+/// silently parsed as 0), and --trials additionally rejects 0.
 /// On any error, prints the problem and a usage line to stderr and
 /// returns ok = false.
 [[nodiscard]] CliOptions parse_cli(int argc, char** argv,

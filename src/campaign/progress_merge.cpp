@@ -9,8 +9,8 @@ namespace dnstime::campaign {
 namespace {
 
 /// Finds `"key":` in a JSON line and parses the number after it. The
-/// progress writers emit flat objects with unescaped keys, so a plain
-/// substring probe is exact here.
+/// runner emits flat objects with unescaped keys, so a plain substring
+/// probe is exact here.
 bool find_number(const std::string& line, const char* key, double& out) {
   std::string probe = "\"";
   probe += key;
@@ -32,7 +32,7 @@ bool find_u64(const std::string& line, const char* key, u64& out) {
   return true;
 }
 
-/// Extracts the scenario name. Worker lines escape names via
+/// Extracts the scenario name. The runner escapes names via
 /// obs::append_escaped, so stop at the first unescaped quote.
 bool find_scenario(const std::string& line, std::string& out) {
   static const char probe[] = "\"scenario\":\"";
@@ -53,90 +53,50 @@ bool find_scenario(const std::string& line, std::string& out) {
 
 }  // namespace
 
-void ProgressMerger::feed(std::size_t file_id, const char* data,
-                          std::size_t len) {
-  Stream& s = streams_[file_id];
-  s.carry.append(data, len);
+void ProgressMerger::feed(const char* data, std::size_t len) {
+  carry_.append(data, len);
   std::size_t start = 0;
   for (;;) {
-    const std::size_t nl = s.carry.find('\n', start);
+    const std::size_t nl = carry_.find('\n', start);
     if (nl == std::string::npos) break;
-    fold_line(file_id, s.carry.substr(start, nl - start));
+    fold_line(carry_.substr(start, nl - start));
     start = nl + 1;
   }
-  s.carry.erase(0, start);
+  carry_.erase(0, start);
 }
 
-void ProgressMerger::fold_line(std::size_t file_id, const std::string& line) {
+void ProgressMerger::fold_line(const std::string& line) {
   if (line.empty()) return;
-  lines_++;
-  bool recognized = false;
-
-  // Campaign-level facts: single-process streams carry them on every
-  // line, the distributed coordinator emits dedicated lines. Either way
-  // the newest line wins — the counters are cumulative.
-  u64 total = 0;
-  if (find_u64(line, "campaign_total", total)) {
-    campaign_total_ = total;
-    find_u64(line, "campaign_done", campaign_done_);
-    find_number(line, "elapsed_s", elapsed_s_);
-    find_number(line, "eta_s", eta_s_);
-    recognized = true;
-  }
-
+  state_.lines++;
   std::string name;
   u64 done = 0;
-  if (find_scenario(line, name) && find_u64(line, "done", done)) {
-    auto [it, inserted] = index_.try_emplace(name, names_.size());
-    if (inserted) {
-      names_.push_back(name);
-      trials_.push_back(0);
-    }
-    const std::size_t idx = it->second;
-    u64 trials = 0;
-    if (find_u64(line, "trials", trials) && trials > trials_[idx]) {
-      trials_[idx] = trials;
-    }
-    Stream& s = streams_[file_id];
-    if (s.cells.size() <= idx) s.cells.resize(idx + 1);
-    // Counters are cumulative within a stream, so later lines supersede
-    // earlier ones.
-    s.cells[idx].done = done;
-    find_u64(line, "successes", s.cells[idx].successes);
-    recognized = true;
+  if (!find_scenario(line, name) || !find_u64(line, "done", done)) {
+    state_.bad_lines++;
+    return;
   }
-
-  if (!recognized) bad_lines_++;
+  auto [it, inserted] = index_.try_emplace(name, state_.rows.size());
+  if (inserted) state_.rows.push_back(MergedRow{.name = name});
+  // Counters are cumulative, so later lines supersede earlier ones.
+  MergedRow& row = state_.rows[it->second];
+  row.done = done;
+  find_u64(line, "trials", row.trials);
+  find_u64(line, "successes", row.successes);
+  find_u64(line, "campaign_done", state_.campaign_done);
+  find_u64(line, "campaign_total", state_.campaign_total);
+  find_number(line, "elapsed_s", state_.elapsed_s);
+  find_number(line, "eta_s", state_.eta_s);
 }
 
 ProgressMerger::Snapshot ProgressMerger::snapshot() const {
-  Snapshot snap;
-  snap.campaign_done = campaign_done_;
-  snap.campaign_total = campaign_total_;
-  snap.elapsed_s = elapsed_s_;
-  snap.eta_s = eta_s_;
-  snap.lines = lines_;
-  snap.bad_lines = bad_lines_;
-  snap.rows.reserve(names_.size());
-  for (std::size_t idx = 0; idx < names_.size(); ++idx) {
-    MergedRow row;
-    row.name = names_[idx];
-    row.trials = trials_[idx];
-    for (const auto& [id, stream] : streams_) {
-      (void)id;
-      if (stream.cells.size() <= idx) continue;
-      row.done += stream.cells[idx].done;
-      row.successes += stream.cells[idx].successes;
-    }
-    if (row.done > 0) {
-      row.rate =
-          static_cast<double>(row.successes) / static_cast<double>(row.done);
-      const WilsonInterval ci = wilson_interval(
-          static_cast<u32>(row.successes), static_cast<u32>(row.done));
-      row.wilson_low = ci.low;
-      row.wilson_high = ci.high;
-    }
-    snap.rows.push_back(std::move(row));
+  Snapshot snap = state_;
+  for (MergedRow& row : snap.rows) {
+    if (row.done == 0) continue;
+    row.rate =
+        static_cast<double>(row.successes) / static_cast<double>(row.done);
+    const WilsonInterval ci = wilson_interval(static_cast<u32>(row.successes),
+                                              static_cast<u32>(row.done));
+    row.wilson_low = ci.low;
+    row.wilson_high = ci.high;
   }
   return snap;
 }

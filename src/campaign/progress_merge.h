@@ -1,20 +1,16 @@
-// Merging reader for campaign progress streams (JSON Lines).
+// Reader for the campaign progress stream (JSON Lines) that
+// CampaignConfig::progress_path names. Every line the runner writes
+// carries one scenario's cumulative counts plus the campaign-level
+// done/total/elapsed/ETA, so the newest line per scenario is its current
+// state. ProgressMerger folds those lines into one table: the success
+// rate and Wilson interval are recomputed from the counts.
 //
-// A single-process campaign writes one --progress file; a distributed one
-// writes a directory: worker-<id>.jsonl per process (per-scenario counts,
-// no campaign_* fields) plus coordinator.jsonl (campaign-level lines
-// only). ProgressMerger folds any number of such streams into one fleet
-// view: per-scenario counts are summed across files and the success rate
-// and Wilson interval are recomputed from the sums, so the merged table
-// is exactly what a single-process run over the same trials would show.
-//
-// Each stream is fed in arbitrary chunks (tail -f style); bytes after the
-// last newline are carried per file until their line completes, so
-// interleaved partial reads never produce torn lines.
+// The stream is fed in arbitrary chunks (tail -f style); bytes after the
+// last newline are carried until their line completes, so partial reads
+// never produce torn lines.
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -25,15 +21,14 @@ namespace dnstime::campaign {
 
 class ProgressMerger {
  public:
-  /// Appends a chunk of stream `file_id` (any stable small integer; the
-  /// watcher uses the file's discovery index). Complete lines are folded
+  /// Appends a chunk of the stream. Complete lines are folded
   /// immediately, the tail is buffered.
-  void feed(std::size_t file_id, const char* data, std::size_t len);
+  void feed(const char* data, std::size_t len);
 
   struct MergedRow {
     std::string name;
     u64 done = 0;
-    u64 trials = 0;  ///< per-scenario target (same in every stream)
+    u64 trials = 0;  ///< per-scenario target
     u64 successes = 0;
     double rate = 0.0;
     double wilson_low = 0.0;
@@ -41,8 +36,8 @@ class ProgressMerger {
   };
 
   struct Snapshot {
-    std::vector<MergedRow> rows;  ///< first-seen order across all streams
-    u64 campaign_done = 0;   ///< newest campaign-level line wins
+    std::vector<MergedRow> rows;  ///< first-seen order
+    u64 campaign_done = 0;   ///< from the newest line
     u64 campaign_total = 0;
     double elapsed_s = 0.0;
     double eta_s = 0.0;
@@ -50,34 +45,15 @@ class ProgressMerger {
     u64 bad_lines = 0;
   };
 
-  /// The current merged view. Rates/intervals are recomputed from the
-  /// summed counts, not averaged from per-stream values.
+  /// The current view. Rates/intervals are recomputed from the counts.
   [[nodiscard]] Snapshot snapshot() const;
 
  private:
-  void fold_line(std::size_t file_id, const std::string& line);
+  void fold_line(const std::string& line);
 
-  /// Latest per-scenario counters one stream reported (cumulative within
-  /// the stream, so "latest" is also "largest").
-  struct Cell {
-    u64 done = 0;
-    u64 successes = 0;
-  };
-  struct Stream {
-    std::string carry;  ///< bytes after the last newline
-    std::vector<Cell> cells;  ///< by scenario index
-  };
-
-  std::vector<std::string> names_;  ///< scenario index -> name
-  std::vector<u64> trials_;         ///< scenario index -> trials target
-  std::unordered_map<std::string, std::size_t> index_;
-  std::map<std::size_t, Stream> streams_;  ///< ordered: deterministic sums
-  u64 campaign_done_ = 0;
-  u64 campaign_total_ = 0;
-  double elapsed_s_ = 0.0;
-  double eta_s_ = 0.0;
-  u64 lines_ = 0;
-  u64 bad_lines_ = 0;
+  std::string carry_;  ///< bytes after the last newline
+  Snapshot state_;     ///< rows hold counts only; snapshot() adds rates
+  std::unordered_map<std::string, std::size_t> index_;  ///< name -> row
 };
 
 }  // namespace dnstime::campaign

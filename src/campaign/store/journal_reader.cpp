@@ -174,33 +174,6 @@ std::vector<std::string> list_shards(const std::string& dir) {
   return shards;
 }
 
-std::vector<TrialRange> pending_ranges(const JournalScan& scan,
-                                       std::size_t num_scenarios, u32 trials) {
-  const u64 total = static_cast<u64>(num_scenarios) * trials;
-  std::vector<TrialRange> ranges;
-  if (!scan.found) {
-    if (total != 0) ranges.push_back({0, total});
-    return ranges;
-  }
-  u64 open = 0;
-  bool in_run = false;
-  for (u64 idx = 0; idx < total; ++idx) {
-    const std::size_t s = static_cast<std::size_t>(idx / trials);
-    const u32 t = static_cast<u32>(idx % trials);
-    const bool done = s < scan.done.size() && t < scan.done[s].size() &&
-                      scan.done[s][t] != 0;
-    if (!done && !in_run) {
-      open = idx;
-      in_run = true;
-    } else if (done && in_run) {
-      ranges.push_back({open, idx});
-      in_run = false;
-    }
-  }
-  if (in_run) ranges.push_back({open, total});
-  return ranges;
-}
-
 JournalScan scan_journal(const std::string& dir) {
   JournalScan scan;
   LoadedJournal journal = load_journal(dir);

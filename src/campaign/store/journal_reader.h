@@ -46,24 +46,6 @@ struct JournalScan {
 /// Shard files under `dir`, sorted by name ([] if the directory is absent).
 [[nodiscard]] std::vector<std::string> list_shards(const std::string& dir);
 
-/// Half-open range of flattened trial indices
-/// (scenario_index * trials + trial_index).
-struct TrialRange {
-  u64 begin = 0;
-  u64 end = 0;  ///< exclusive
-  [[nodiscard]] u64 size() const { return end - begin; }
-  bool operator==(const TrialRange&) const = default;
-};
-
-/// The maximal runs of flattened indices NOT yet journaled, ascending —
-/// the distributed coordinator's initial work pool, and what resuming
-/// after a coordinator crash re-leases. `num_scenarios`/`trials` describe
-/// the campaign being (re)run; scan.done is consulted when the scan found
-/// shards (a fresh directory yields one range covering everything).
-[[nodiscard]] std::vector<TrialRange> pending_ranges(const JournalScan& scan,
-                                                     std::size_t num_scenarios,
-                                                     u32 trials);
-
 /// Walks every shard's valid prefix and marks journaled trials. Throws
 /// std::runtime_error if shards disagree on the campaign identity.
 [[nodiscard]] JournalScan scan_journal(const std::string& dir);

@@ -71,6 +71,45 @@ std::vector<ScenarioSpec> two_synthetic_scenarios() {
   return scenarios;
 }
 
+/// Executes flattened trial `idx` (scenario_index * trials + trial_index)
+/// exactly as the runner does and appends it to `writer` — the building
+/// block for laying down the journal a killed run leaves behind.
+void execute_into(store::ShardWriter& writer,
+                  const std::vector<ScenarioSpec>& scenarios, u64 seed,
+                  u32 trials, u64 idx) {
+  const auto s = static_cast<u32>(idx / trials);
+  TrialContext ctx;
+  ctx.campaign_seed = seed;
+  ctx.trial = static_cast<u32>(idx % trials);
+  ctx.seed = CampaignRunner::trial_seed(seed, scenarios[s], ctx.trial);
+  writer.append(s, run_trial(scenarios[s], ctx));
+}
+
+/// The campaign settings the resume tests vary; every other field keeps
+/// its default.
+CampaignConfig config_for(u64 seed, u32 trials, u32 threads) {
+  CampaignConfig config;
+  config.seed = seed;
+  config.trials = trials;
+  config.threads = threads;
+  return config;
+}
+
+/// Resumes the campaign journaled in `dir` and returns how many trials
+/// the resume executed; the report it produced lands in `out`.
+u32 resume_counting(CampaignConfig cfg, const std::string& dir,
+                    const std::vector<ScenarioSpec>& scenarios,
+                    CampaignReport& out) {
+  cfg.journal_dir = dir;
+  cfg.resume = true;
+  CampaignRunner runner(cfg);
+  std::atomic<u32> executed{0};
+  runner.set_progress(
+      [&](const ScenarioSpec&, const TrialResult&) { executed++; });
+  out = runner.run(scenarios);
+  return executed.load();
+}
+
 /// Adversarial TrialResult: non-finite doubles, negative zero, and error
 /// strings that are empty, multi-line, NUL-bearing or long.
 TrialResult random_result(Rng& rng, u32 trial) {
@@ -165,18 +204,24 @@ TEST(TrialJournal, DuplicateRecordsAcrossShardsCollapseToOne) {
   auto scenarios = two_synthetic_scenarios();
   store::JournalMeta meta = store::JournalMeta::describe(7, 4, scenarios);
   Rng rng{5};
-  TrialResult r = random_result(rng, 2);
+  // Shards 0 and 1 both hold (scenario 1, trial 2). Real duplicates are
+  // identical (trials are deterministic); distinct payloads let the test
+  // observe WHICH copy survives.
+  TrialResult first = random_result(rng, 2);
+  TrialResult second = first;
+  second.metric = 0.75;
+  first.metric = 0.25;
   for (u32 id = 0; id < 2; ++id) {
     store::ShardWriter w(dir.path, meta, id);
-    w.append(1, r);
+    w.append(1, id == 0 ? first : second);
     w.close();
   }
   store::JournalMerge merge(dir.path);
   store::JournalRecord rec;
   ASSERT_TRUE(merge.next(rec));
   EXPECT_EQ(rec.scenario, 1u);
-  expect_identical(rec.result, r);
-  EXPECT_FALSE(merge.next(rec));
+  expect_identical(rec.result, first);  // lexicographically first shard wins
+  EXPECT_FALSE(merge.next(rec));        // and exactly one copy survives
 
   store::JournalScan scan = store::scan_journal(dir.path);
   EXPECT_EQ(scan.records, 1u);  // distinct (scenario, trial) pairs
@@ -287,29 +332,18 @@ TEST(TrialJournal, ResumeExecutesOnlyMissingTrialsAndReportIsIdentical) {
         store::JournalMeta::describe(42, trials, scenarios);
     {
       store::ShardWriter w(dir.path, meta, 0);
-      const std::pair<u32, u32> done[] = {{0, 0}, {0, 1}, {0, 2}, {1, 1},
-                                          {1, 5}};
-      for (auto [s, t] : done) {
-        TrialContext ctx;
-        ctx.campaign_seed = 42;
-        ctx.trial = t;
-        ctx.seed = CampaignRunner::trial_seed(42, scenarios[s], t);
-        w.append(s, run_trial(scenarios[s], ctx));
+      for (u64 idx : {0, 1, 2, 9, 13}) {
+        execute_into(w, scenarios, 42, trials, idx);
       }
       w.close();
     }
 
-    CampaignConfig cfg{.seed = 42, .trials = trials, .threads = threads};
-    cfg.journal_dir = dir.path;
-    cfg.resume = true;
-    CampaignRunner runner(cfg);
-    std::atomic<u32> executed{0};
-    runner.set_progress(
-        [&](const ScenarioSpec&, const TrialResult&) { executed++; });
-    CampaignReport resumed = runner.run(scenarios);
+    CampaignReport resumed;
+    const u32 executed = resume_counting(config_for(42, trials, threads),
+                                         dir.path, scenarios, resumed);
 
     // Only the 2*8 - 5 missing trials ran; journaled ones were skipped.
-    EXPECT_EQ(executed.load(), 2 * trials - 5);
+    EXPECT_EQ(executed, 2 * trials - 5);
     EXPECT_EQ(resumed.to_json(/*include_trials=*/false),
               baseline.to_json(/*include_trials=*/false));
     EXPECT_EQ(store::read_report(dir.path).to_json(), baseline.to_json());
@@ -328,16 +362,106 @@ TEST(TrialJournal, KilledRunWithTornTailResumesToIdenticalReport) {
   const std::string shard = dir.path + "/" + store::shard_filename(0);
   fs::resize_file(shard, fs::file_size(shard) - 5);
 
-  cfg.resume = true;
-  CampaignRunner resumer(cfg);
-  std::atomic<u32> executed{0};
-  resumer.set_progress(
-      [&](const ScenarioSpec&, const TrialResult&) { executed++; });
-  CampaignReport resumed = resumer.run(scenarios);
-
-  EXPECT_EQ(executed.load(), 1u);  // exactly the torn trial re-ran
+  CampaignReport resumed;
+  EXPECT_EQ(resume_counting(cfg, dir.path, scenarios, resumed),
+            1u);  // exactly the torn trial re-ran
   EXPECT_EQ(resumed.to_json(false), baseline.to_json(false));
   EXPECT_EQ(store::read_report(dir.path).to_json(), baseline.to_json());
+}
+
+TEST(TrialJournal, HeaderOnlyShardResumesOnlyTheMissingTrials) {
+  // A worker killed after writing its shard header but before its first
+  // frame leaves a header-only shard: it must contribute nothing, break
+  // nothing, and resume must run exactly the trials no shard holds.
+  auto scenarios = two_synthetic_scenarios();
+  const u32 trials = 4;
+  const CampaignReport baseline =
+      CampaignRunner(config_for(11, trials, 1)).run(scenarios);
+  const store::JournalMeta meta =
+      store::JournalMeta::describe(11, trials, scenarios);
+
+  for (u32 threads : {1u, 4u}) {
+    TempJournalDir dir("headeronly_t" + std::to_string(threads));
+    {
+      // Shard 0 holds all of scenario 0.
+      store::ShardWriter w(dir.path, meta, 0);
+      for (u64 idx = 0; idx < trials; ++idx) {
+        execute_into(w, scenarios, 11, trials, idx);
+      }
+      w.close();
+    }
+    // Shard 1 cut back to exactly its header. The header size is what two
+    // identical frames reveal: (header + frame) * 2 - (header + 2 frames).
+    u64 header_bytes = 0;
+    {
+      TrialResult fixed;
+      store::ShardWriter one(dir.path, meta, 1);
+      one.append(0, fixed);
+      const u64 header_plus_frame = one.bytes_written();
+      one.append(0, fixed);
+      header_bytes = 2 * header_plus_frame - one.bytes_written();
+      one.close();
+    }
+    fs::resize_file(dir.path + "/" + store::shard_filename(1), header_bytes);
+
+    const store::JournalScan scan = store::scan_journal(dir.path);
+    ASSERT_TRUE(scan.found);
+    ASSERT_EQ(scan.shards.size(), 2u);
+    EXPECT_TRUE(scan.shards[1].header_ok);
+    EXPECT_EQ(scan.shards[1].records, 0u);
+    EXPECT_EQ(scan.records, u64{trials});  // shard 1 adds nothing
+
+    CampaignReport resumed;
+    EXPECT_EQ(resume_counting(config_for(11, trials, threads), dir.path,
+                              scenarios, resumed),
+              trials);  // exactly scenario 1's trials
+    EXPECT_EQ(resumed.to_json(false), baseline.to_json(false));
+    EXPECT_EQ(store::read_report(dir.path).to_json(), baseline.to_json());
+  }
+}
+
+TEST(TrialJournal, PartialAndMissingShardsResumeToIdenticalReport) {
+  // A run killed mid-campaign: three workers each flushed a different
+  // prefix of their share of the trials, and a fourth died before its
+  // shard reached disk at all. Resume must execute exactly the holes.
+  auto scenarios = two_synthetic_scenarios();
+  const u32 trials = 8;
+  const CampaignReport baseline =
+      CampaignRunner(config_for(31, trials, 1)).run(scenarios);
+  const store::JournalMeta meta =
+      store::JournalMeta::describe(31, trials, scenarios);
+
+  // Each worker's share is four consecutive flattened trial indices
+  // starting at `begin`; `flushed` of them reached disk. Shard 1 (trials
+  // [4, 8)) is absent: its file never reached disk.
+  struct Share {
+    u32 shard_id;
+    u64 begin;
+    u64 flushed;
+  };
+  const Share shares[] = {{0, 0, 3}, {2, 8, 2}, {3, 12, 1}};
+  u64 journaled = 0;
+  for (const Share& share : shares) journaled += share.flushed;
+  const u64 holes = u64{2} * trials - journaled;
+
+  for (u32 threads : {1u, 4u}) {
+    TempJournalDir dir("partial_t" + std::to_string(threads));
+    for (const Share& share : shares) {
+      store::ShardWriter w(dir.path, meta, share.shard_id);
+      for (u64 idx = share.begin; idx < share.begin + share.flushed; ++idx) {
+        execute_into(w, scenarios, 31, trials, idx);
+      }
+      w.close();
+    }
+    ASSERT_FALSE(fs::exists(dir.path + "/" + store::shard_filename(1)));
+
+    CampaignReport resumed;
+    EXPECT_EQ(resume_counting(config_for(31, trials, threads), dir.path,
+                              scenarios, resumed),
+              holes);
+    EXPECT_EQ(resumed.to_json(false), baseline.to_json(false));
+    EXPECT_EQ(store::read_report(dir.path).to_json(), baseline.to_json());
+  }
 }
 
 TEST(TrialJournal, ResumeOfCompleteJournalExecutesNothing) {
@@ -347,13 +471,8 @@ TEST(TrialJournal, ResumeOfCompleteJournalExecutesNothing) {
   cfg.journal_dir = dir.path;
   CampaignReport first = CampaignRunner(cfg).run(scenarios);
 
-  cfg.resume = true;
-  CampaignRunner again(cfg);
-  std::atomic<u32> executed{0};
-  again.set_progress(
-      [&](const ScenarioSpec&, const TrialResult&) { executed++; });
-  CampaignReport second = again.run(scenarios);
-  EXPECT_EQ(executed.load(), 0u);
+  CampaignReport second;
+  EXPECT_EQ(resume_counting(cfg, dir.path, scenarios, second), 0u);
   EXPECT_EQ(second.to_json(false), first.to_json(false));
 }
 

@@ -24,6 +24,7 @@
 #include <cstring>
 #include <string>
 
+#include "campaign/cli.h"
 #include "campaign/runner.h"
 #include "campaign/scenario_spec.h"
 #include "campaign/trial.h"
@@ -39,17 +40,6 @@ void usage(const char* prog) {
       "usage: %s SCENARIO [--trial N] [--seed S] [--json] [--out FILE]\n"
       "       %s --list\n",
       prog, prog);
-}
-
-bool parse_u64_token(const char* s, u64& out) {
-  if (s == nullptr || *s == '\0') return false;
-  if (s[0] < '0' || s[0] > '9') return false;
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno == ERANGE || *end != '\0') return false;
-  out = v;
-  return true;
 }
 
 /// Human-readable chain + ring summary (the `--json` form is produced by
@@ -160,7 +150,7 @@ int main(int argc, char** argv) {
         out_path = value;
       } else {
         u64 parsed = 0;
-        if (!parse_u64_token(value, parsed)) {
+        if (!campaign::parse_u64_token(value, parsed)) {
           std::fprintf(stderr, "%s: invalid value '%s' for flag '%s'\n",
                        argv[0], value, arg);
           usage(argv[0]);

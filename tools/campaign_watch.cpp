@@ -1,91 +1,52 @@
-// campaign_watch: tail the JSON Lines stream(s) a campaign writes with
-// `--progress PATH` and render a live per-scenario table — trials done,
+// campaign_watch: tail the JSON Lines file a campaign writes with
+// `--progress FILE` and render a live per-scenario table — trials done,
 // success rate with its 95% Wilson interval, and the campaign-level ETA.
 //
-// PATH is a single file for one-process campaigns, or a directory for
-// distributed ones (`--workers N`): each worker process appends to its
-// own worker-<id>.jsonl and the coordinator to coordinator.jsonl, so no
-// two writers ever interleave mid-line. The watcher discovers *.jsonl
-// files on every poll tick (workers appear as they start), tails each at
-// its own offset, and folds everything through ProgressMerger — per-
-// scenario counts are summed across processes and the rate/CI recomputed,
-// so the fleet view matches what a single process would have printed.
-//
-// Partial lines (a writer mid-fprintf, or a read racing a write) stay
-// buffered per file until their newline arrives.
+// The file is read from its start and then followed at its end offset;
+// every chunk goes through ProgressMerger, which keeps a partial line (a
+// writer mid-fprintf, or a read racing a write) buffered until its
+// newline arrives.
 //
 // Usage:
-//   campaign_watch PATH [--once] [--interval MS]
+//   campaign_watch FILE [--once] [--interval MS]
 //
-//   PATH           the --progress file or directory of a campaign
+//   FILE           the --progress file of a campaign
 //   --once         render the current state once and exit (CI / scripting)
-//   --interval MS  poll interval in follow mode (default 500)
+//   --interval MS  poll interval in follow mode (default 500; an integer
+//                  in 1..86400000)
 //
 // Follow mode exits on its own when the stream reports the campaign
 // complete (campaign_done == campaign_total).
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
-#include <vector>
 
+#include "campaign/cli.h"
 #include "campaign/progress_merge.h"
 
 namespace {
 
 using dnstime::campaign::ProgressMerger;
 
-/// One tailed stream: an open handle plus the stable id ProgressMerger
-/// keys its per-file carry buffer and counters by.
-struct Source {
-  std::string path;
-  std::FILE* file = nullptr;
-  std::size_t id = 0;
-};
+/// Longest accepted --interval (one day): larger values would overflow
+/// std::chrono::milliseconds' signed count and turn the sleep into a spin.
+constexpr dnstime::u64 kMaxIntervalMs = 86'400'000;
 
-/// Reads whatever bytes are newly available on `src` into the merger.
+/// Reads whatever bytes are newly available on `file` into the merger.
 /// Returns true when anything arrived.
-bool drain(Source& src, ProgressMerger& merger) {
+bool drain(std::FILE* file, ProgressMerger& merger) {
   bool got = false;
   char buf[4096];
   std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, src.file)) > 0) {
-    merger.feed(src.id, buf, n);
+  while ((n = std::fread(buf, 1, sizeof buf, file)) > 0) {
+    merger.feed(buf, n);
     got = true;
   }
-  std::clearerr(src.file);  // EOF is transient while the writer is live
+  std::clearerr(file);  // EOF is transient while the writer is live
   return got;
-}
-
-/// Discovers *.jsonl files under `dir` and opens any not yet tracked.
-/// Discovery order (sorted paths) assigns ids, so a given run tails each
-/// file under a stable id even as new workers appear.
-void discover(const std::string& dir, std::vector<Source>& sources) {
-  std::vector<std::string> found;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file(ec)) continue;
-    if (entry.path().extension() != ".jsonl") continue;
-    found.push_back(entry.path().string());
-  }
-  std::sort(found.begin(), found.end());
-  for (const std::string& path : found) {
-    bool known = false;
-    for (const Source& src : sources) {
-      if (src.path == path) {
-        known = true;
-        break;
-      }
-    }
-    if (known) continue;
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) continue;  // racing the creator; retry next tick
-    sources.push_back(Source{path, f, sources.size()});
-  }
 }
 
 void render(const ProgressMerger::Snapshot& snap, bool clear) {
@@ -124,7 +85,7 @@ void render(const ProgressMerger::Snapshot& snap, bool clear) {
 int main(int argc, char** argv) {
   std::string path;
   bool once = false;
-  unsigned long long interval_ms = 500;
+  dnstime::u64 interval_ms = 500;
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -138,18 +99,20 @@ int main(int argc, char** argv) {
                      argv[0]);
         return 2;
       }
-      char* end = nullptr;
-      interval_ms = std::strtoull(argv[++i], &end, 10);
-      if (end == nullptr || *end != '\0' || interval_ms == 0) {
-        std::fprintf(stderr, "%s: invalid --interval value '%s'\n", argv[0],
-                     argv[i]);
+      if (!dnstime::campaign::parse_u64_token(argv[++i], interval_ms) ||
+          interval_ms == 0 || interval_ms > kMaxIntervalMs) {
+        std::fprintf(stderr,
+                     "%s: invalid --interval value '%s' (want an integer "
+                     "of milliseconds in 1..%llu)\n",
+                     argv[0], argv[i],
+                     static_cast<unsigned long long>(kMaxIntervalMs));
         return 2;
       }
       continue;
     }
     if (arg[0] == '-') {
       std::fprintf(stderr, "%s: unknown flag '%s'\n", argv[0], arg);
-      std::fprintf(stderr, "usage: %s PATH [--once] [--interval MS]\n",
+      std::fprintf(stderr, "usage: %s FILE [--once] [--interval MS]\n",
                    argv[0]);
       return 2;
     }
@@ -160,31 +123,28 @@ int main(int argc, char** argv) {
     path = arg;
   }
   if (path.empty()) {
-    std::fprintf(stderr, "usage: %s PATH [--once] [--interval MS]\n",
+    std::fprintf(stderr, "usage: %s FILE [--once] [--interval MS]\n",
                  argv[0]);
     return 2;
   }
 
   std::error_code ec;
-  const bool dir_mode = std::filesystem::is_directory(path, ec);
-  std::vector<Source> sources;
-  if (!dir_mode) {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "%s: cannot open '%s' for reading\n", argv[0],
-                   path.c_str());
-      return 1;
-    }
-    sources.push_back(Source{path, f, 0});
+  if (std::filesystem::is_directory(path, ec)) {
+    std::fprintf(stderr, "%s: '%s' is a directory, not a --progress file\n",
+                 argv[0], path.c_str());
+    return 2;
+  }
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) {
+    std::fprintf(stderr, "%s: cannot open '%s' for reading\n", argv[0],
+                 path.c_str());
+    return 1;
   }
 
   ProgressMerger merger;
   bool dirty = false;
   for (;;) {
-    if (dir_mode) discover(path, sources);
-    for (Source& src : sources) {
-      if (drain(src, merger)) dirty = true;
-    }
+    if (drain(file, merger)) dirty = true;
 
     const ProgressMerger::Snapshot snap = merger.snapshot();
     if (once) {

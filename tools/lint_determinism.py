@@ -29,12 +29,12 @@ machines.  This lint walks the directories that own that contract
                report breaks cross-thread-count byte identity.  The
                provenance/flight-recorder layer (src/obs) must label
                events with sim-derived ids only.
-  pid          process identity (getpid, getppid).  The multi-process
-               analogue of thread-id: which OS pid a distributed worker
-               gets is spawn-order and host dependent, so a pid reaching
-               a shard, report or progress byte breaks the cross-process
-               byte-identity contract (src/campaign/dist).  Worker
-               identity must be the coordinator-assigned worker id.
+  pid          process identity (getpid, getppid).  The process-level
+               analogue of thread-id: a pid differs on every run and
+               host, so a pid reaching a shard, report or progress byte
+               breaks the byte identity of a resumed campaign against an
+               uninterrupted one.  Shard ids come from the runner's
+               own numbering, never from process identity.
 
 Waivers: a finding is suppressed when the offending line — or the line
 directly above it — carries

@@ -34,6 +34,7 @@
 #include <cstring>
 #include <string>
 
+#include "campaign/cli.h"
 #include "campaign/runner.h"
 #include "campaign/scenario_spec.h"
 #include "campaign/store/journal.h"
@@ -53,17 +54,6 @@ void usage(const char* prog) {
       prog, prog, prog);
 }
 
-bool parse_u64_token(const char* s, u64& out) {
-  if (s == nullptr || *s == '\0') return false;
-  if (s[0] < '0' || s[0] > '9') return false;
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno == ERANGE || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
 /// Accepts the journal-key forms of a scenario hash: 0x-prefixed hex or a
 /// plain decimal u64.
 bool parse_hash_token(const char* s, u64& out) {
@@ -78,7 +68,7 @@ bool parse_hash_token(const char* s, u64& out) {
     }
     return false;
   }
-  return parse_u64_token(s, out);
+  return campaign::parse_u64_token(s, out);
 }
 
 /// Scenario lookup by name, falling back to the FNV-1a name hash that
@@ -136,7 +126,7 @@ int main(int argc, char** argv) {
         out_path = value;
       } else {
         u64 parsed = 0;
-        if (!parse_u64_token(value, parsed)) {
+        if (!campaign::parse_u64_token(value, parsed)) {
           std::fprintf(stderr, "%s: invalid value '%s' for flag '%s'\n",
                        argv[0], value, arg);
           usage(argv[0]);
