@@ -22,6 +22,9 @@
 //     MF=0 fragment accepted for it;
 //   * pending_datagrams() never exceeds the number of inserts;
 //   * expire() at +forever leaves the cache empty;
+//   * expire() returns the minimum first-seen instant among the surviving
+//     datagrams (mirrored here from insert() results and the overflow
+//     counter), and nothing exactly when pending_datagrams() == 0;
 //   * counters are monotone and completed+expired+pending stay consistent;
 //   * provenance: every fragment is stamped (op bit 5 marks it spoofed)
 //     and a completed datagram's merged Origin must carry the reassembled
@@ -30,6 +33,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -64,11 +68,31 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   std::map<std::pair<u32, u16>, IssuedStamps> issued;
   u32 next_seq = 0;
 
+  // (src,id) -> first-seen instant of every datagram the cache holds. A
+  // key enters when an insert neither completes it nor overflows its pair,
+  // and leaves on completion or expiry.
+  std::map<std::pair<u32, u16>, sim::Time> cached;
+  auto check_expire = [&](sim::Time at) {
+    std::optional<sim::Time> oldest = cache.expire(at);
+    std::optional<sim::Time> expected;
+    for (auto it = cached.begin(); it != cached.end();) {
+      if (at - it->second >= policy.timeout) {
+        it = cached.erase(it);
+        continue;
+      }
+      if (!expected || it->second < *expected) expected = it->second;
+      ++it;
+    }
+    if (oldest != expected) std::abort();  // wrong oldest survivor
+    if (oldest.has_value() != (cache.pending_datagrams() != 0)) std::abort();
+    if (cached.size() != cache.pending_datagrams()) std::abort();
+  };
+
   while (pos < size) {
     u8 op = data[pos++];
     if (op & 0x80) {
       now = now + sim::Duration::seconds(op & 0x7f);
-      cache.expire(now);
+      check_expire(now);
       continue;
     }
     if (pos + 4 > size) break;
@@ -106,7 +130,13 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       auto [it, fresh] = declared.emplace(key, end);
       if (!fresh && end > it->second) it->second = end;
     }
+    const u64 overflows_before = cache.evicted_overflow();
     auto done = cache.insert(frag, now);
+    if (done) {
+      cached.erase(key);
+    } else if (cache.evicted_overflow() == overflows_before) {
+      cached.emplace(key, now);  // no-op when already cached
+    }
     if (done) {
       auto it = declared.find(key);
       if (it == declared.end() || done->payload.size() > it->second) {
@@ -128,7 +158,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     if (cache.pending_datagrams() > inserts) std::abort();
   }
 
-  cache.expire(now + sim::Duration::hours(24 * 365));
+  check_expire(now + sim::Duration::hours(24 * 365));
   if (cache.pending_datagrams() != 0) std::abort();
   return 0;
 }

@@ -13,8 +13,11 @@
 //                                      crash-candidate.bin before each run
 //                                      so a crash leaves its reproducer)
 //
-// Unknown -flags are ignored (libFuzzer compatibility). Inputs are visited
-// in sorted path order, so replay is deterministic.
+// Flag values are strict unsigned decimals (campaign::parse_u64_token).
+// A malformed value, a nonzero -runs= (fuzzing runs come from -mutate=)
+// and any other -flag exit 2: a libFuzzer option this driver does not
+// implement must not be silently ignored. Inputs are visited in sorted
+// path order, so replay is deterministic.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -24,6 +27,8 @@
 #include <fstream>
 #include <string>
 #include <vector>
+
+#include "campaign/cli.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size);
 
@@ -81,6 +86,19 @@ void mutate(std::vector<uint8_t>& buf) {
   }
 }
 
+/// If `arg` is `<flag><value>`, parses the value into `out`. Returns false
+/// when `arg` is another flag; exits 2 on a malformed value.
+bool flag_value(const std::string& arg, const char* flag, uint64_t& out) {
+  const std::size_t n = std::strlen(flag);
+  if (arg.compare(0, n, flag) != 0) return false;
+  if (!dnstime::campaign::parse_u64_token(arg.c_str() + n, out)) {
+    std::fprintf(stderr, "fuzz driver: %s needs an unsigned decimal: %s\n",
+                 flag, arg.c_str());
+    std::exit(2);
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -88,12 +106,22 @@ int main(int argc, char** argv) {
   uint64_t mutate_iters = 0;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg.rfind("-mutate=", 0) == 0) {
-      mutate_iters = std::strtoull(arg.c_str() + 8, nullptr, 10);
-    } else if (arg.rfind("-seed=", 0) == 0) {
-      rng_state = std::strtoull(arg.c_str() + 6, nullptr, 10) | 1;
+    uint64_t value = 0;
+    if (flag_value(arg, "-mutate=", mutate_iters)) continue;
+    if (flag_value(arg, "-seed=", value)) {
+      rng_state = value | 1;
+    } else if (flag_value(arg, "-runs=", value)) {
+      if (value != 0) {
+        std::fprintf(stderr,
+                     "fuzz driver: -runs=%s is not implemented; only "
+                     "-runs=0 (replay) is, use -mutate=N to fuzz\n",
+                     arg.c_str() + 6);
+        return 2;
+      }
     } else if (!arg.empty() && arg[0] == '-') {
-      continue;  // libFuzzer-style flag; replay semantics are the default
+      std::fprintf(stderr, "fuzz driver: unsupported flag: %s\n",
+                   arg.c_str());
+      return 2;
     } else if (fs::is_directory(arg)) {
       for (const auto& e : fs::recursive_directory_iterator(arg)) {
         if (e.is_regular_file()) inputs.push_back(e.path());

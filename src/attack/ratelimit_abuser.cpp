@@ -12,7 +12,13 @@ RateLimitAbuser::~RateLimitAbuser() { stop(); }
 
 void RateLimitAbuser::disrupt(Ipv4Addr server) {
   if (targets_.contains(server)) return;
-  targets_[server] = sim::EventHandle{};
+  // Mode-3 query, source address forged to the victim's. The source port
+  // is irrelevant: ntpd's `restrict limited` accounting is per address.
+  ntp::NtpPacket query;
+  query.mode = ntp::Mode::kClient;
+  query.tx_time = 1.0;  // arbitrary; the server echoes it to the victim
+  targets_[server].datagram = net::encode_udp(encode_ntp(query), kNtpPort,
+                                              kNtpPort, victim_, server);
   flood_tick(server);
 }
 
@@ -23,12 +29,12 @@ void RateLimitAbuser::disrupt_all(const std::vector<Ipv4Addr>& servers) {
 void RateLimitAbuser::relent(Ipv4Addr server) {
   auto it = targets_.find(server);
   if (it == targets_.end()) return;
-  it->second.cancel();
+  it->second.tick.cancel();
   targets_.erase(it);
 }
 
 void RateLimitAbuser::stop() {
-  for (auto& [server, handle] : targets_) handle.cancel();
+  for (auto& [server, target] : targets_) target.tick.cancel();
   targets_.clear();
 }
 
@@ -36,22 +42,15 @@ void RateLimitAbuser::flood_tick(Ipv4Addr server) {
   auto it = targets_.find(server);
   if (it == targets_.end()) return;
 
-  // Mode-3 query, source address forged to the victim's. The source port
-  // is irrelevant: ntpd's `restrict limited` accounting is per address.
-  ntp::NtpPacket query;
-  query.mode = ntp::Mode::kClient;
-  query.tx_time = 1.0;  // arbitrary; the server echoes it to the victim
-
   net::Ipv4Packet pkt;
   pkt.src = victim_;
   pkt.dst = server;
   pkt.protocol = net::kProtoUdp;
-  pkt.payload = net::encode_udp(encode_ntp(query), kNtpPort, kNtpPort,
-                                victim_, server);
+  pkt.payload = it->second.datagram;  // alias; send_raw stamps this handle
   stack_.send_raw(std::move(pkt));
   spoofed_++;
 
-  it->second = stack_.loop().schedule_after(
+  it->second.tick = stack_.loop().schedule_after(
       config_.spacing, [this, server] { flood_tick(server); });
 }
 

@@ -2,6 +2,11 @@
 // rate-limit the *victim*, so the victim's genuine polls go unanswered and
 // the association looks dead — without any denial of service against the
 // server itself.
+//
+// The flood repeats one datagram per target, so disrupt() encodes it once
+// (UDP checksum over the victim→server pseudo-header included) and every
+// tick sends a refcounted alias of it; send_raw stamps each alias's own
+// spoofed provenance.
 #pragma once
 
 #include <unordered_map>
@@ -39,12 +44,19 @@ class RateLimitAbuser {
   [[nodiscard]] std::size_t active_targets() const { return targets_.size(); }
 
  private:
+  /// One flooded server: its next tick and the forged datagram every tick
+  /// re-sends.
+  struct Target {
+    sim::EventHandle tick;
+    PacketBuf datagram;
+  };
+
   void flood_tick(Ipv4Addr server);
 
   net::NetStack& stack_;
   Ipv4Addr victim_;
   AbuserConfig config_;
-  std::unordered_map<Ipv4Addr, sim::EventHandle> targets_;
+  std::unordered_map<Ipv4Addr, Target> targets_;
   u64 spoofed_ = 0;
 };
 

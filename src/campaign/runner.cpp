@@ -106,8 +106,8 @@ u32 CampaignRunner::resolve_threads(std::size_t pending) const {
 }
 
 void CampaignRunner::execute(const std::vector<ScenarioSpec>& scenarios,
-                             const std::vector<u8>* skip, u32 threads,
-                             const TrialSink& sink) const {
+                             const std::vector<Journaled>* journaled,
+                             u32 threads, const TrialSink& sink) const {
   const u32 trials = config_.trials;
   const std::size_t total = scenarios.size() * trials;
 
@@ -146,11 +146,17 @@ void CampaignRunner::execute(const std::vector<ScenarioSpec>& scenarios,
   };
   std::vector<ScenarioProgress> progress_state(
       progress_file != nullptr ? scenarios.size() : 0);
-  std::size_t executed_total = 0;  // guarded by error_mutex
-  std::size_t pending_total = total;
-  if (skip != nullptr) {
-    for (u8 s : *skip) {
-      if (s != 0) pending_total--;
+  // Both guarded by error_mutex: trials run by this call (the ETA's rate)
+  // and trials done in the campaign, journaled ones included.
+  std::size_t executed_total = 0;
+  std::size_t campaign_done = 0;
+  if (progress_file != nullptr && journaled != nullptr) {
+    for (std::size_t i = 0; i < total; ++i) {
+      if ((*journaled)[i] == Journaled::kNo) continue;
+      ScenarioProgress& sp = progress_state[i / trials];
+      sp.done++;
+      if ((*journaled)[i] == Journaled::kSuccess) sp.successes++;
+      campaign_done++;
     }
   }
   // det-lint: allow(wallclock) elapsed/ETA for the progress stream only
@@ -194,7 +200,9 @@ void CampaignRunner::execute(const std::vector<ScenarioSpec>& scenarios,
     for (std::size_t i = next.fetch_add(1); i < total;
          i = next.fetch_add(1)) {
       if (abort.load(std::memory_order_relaxed)) return;
-      if (skip != nullptr && (*skip)[i] != 0) continue;
+      if (journaled != nullptr && (*journaled)[i] != Journaled::kNo) {
+        continue;
+      }
       const std::size_t scenario_idx = i / trials;
       const u32 trial_idx = static_cast<u32>(i % trials);
       const ScenarioSpec& spec = scenarios[scenario_idx];
@@ -309,8 +317,9 @@ void CampaignRunner::execute(const std::vector<ScenarioSpec>& scenarios,
         sp.done++;
         if (stored->success) sp.successes++;
         executed_total++;
+        campaign_done++;
         const WilsonInterval ci = wilson_interval(sp.successes, sp.done);
-        const std::size_t remaining = pending_total - executed_total;
+        const std::size_t remaining = total - campaign_done;
         std::string line;
         line.reserve(256);
         line += "{\"scenario\":\"";
@@ -333,9 +342,9 @@ void CampaignRunner::execute(const std::vector<ScenarioSpec>& scenarios,
         line += ",\"wilson_high\":";
         obs::append_double(line, ci.high);
         line += ",\"campaign_done\":";
-        line += std::to_string(executed_total);
+        line += std::to_string(campaign_done);
         line += ",\"campaign_total\":";
-        line += std::to_string(pending_total);
+        line += std::to_string(total);
         line += ",\"elapsed_s\":";
         obs::append_double(line, elapsed_s);
         line += ",\"eta_s\":";
@@ -432,7 +441,7 @@ CampaignReport CampaignRunner::run_in_memory(
   std::vector<std::vector<TrialResult>> results(scenarios.size());
   for (auto& slot : results) slot.resize(trials);
 
-  execute(scenarios, /*skip=*/nullptr,
+  execute(scenarios, /*journaled=*/nullptr,
           resolve_threads(scenarios.size() * trials),
           [&results](u32, std::size_t scenario_idx, u32 trial_idx,
                      TrialResult&& r) -> const TrialResult& {
@@ -488,7 +497,7 @@ CampaignReport CampaignRunner::run_journaled(
         "that campaign or point --journal at a fresh directory");
   }
 
-  std::vector<u8> skip;
+  std::vector<Journaled> journaled;
   std::size_t done = 0;
   u32 next_shard_id = 0;
   for (const store::ShardState& st : scan.shards) {
@@ -512,11 +521,13 @@ CampaignReport CampaignRunner::run_journaled(
       throw std::runtime_error("cannot resume: journal '" + dir +
                                "' describes a different scenario set");
     }
-    skip.assign(total, u8{0});
+    journaled.assign(total, Journaled::kNo);
     for (std::size_t s = 0; s < scan.done.size(); ++s) {
       for (u32 t = 0; t < trials; ++t) {
         if (scan.done[s][t] != 0) {
-          skip[s * trials + t] = 1;
+          journaled[s * trials + t] = scan.succeeded[s][t] != 0
+                                          ? Journaled::kSuccess
+                                          : Journaled::kFailure;
           done++;
         }
       }
@@ -540,7 +551,7 @@ CampaignReport CampaignRunner::run_journaled(
     writers.emplace_back(dir, meta, next_shard_id + w);
   }
   if (pending > 0) {
-    execute(scenarios, skip.empty() ? nullptr : &skip, threads,
+    execute(scenarios, journaled.empty() ? nullptr : &journaled, threads,
             [&writers](u32 worker_id, std::size_t scenario_idx, u32,
                        TrialResult&& r) -> const TrialResult& {
               writers[worker_id].append(static_cast<u32>(scenario_idx), r);

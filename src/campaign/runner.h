@@ -127,11 +127,16 @@ class CampaignRunner {
   [[nodiscard]] CampaignReport run_journaled(
       const std::vector<ScenarioSpec>& scenarios) const;
 
-  /// Fans the (non-skipped) trials out over `threads` workers, feeding
-  /// every result to `sink` and then to progress_. `skip`, when non-null,
-  /// flags already-done flattened (scenario * trials + trial) indices.
+  /// How an earlier run of a resumed campaign left one trial.
+  enum class Journaled : u8 { kNo, kFailure, kSuccess };
+
+  /// Fans the trials not yet journaled out over `threads` workers, feeding
+  /// every result to `sink` and then to progress_. `journaled`, when
+  /// non-null, holds one entry per flattened (scenario * trials + trial)
+  /// index; journaled trials are skipped, and the progress stream counts
+  /// them (and their successes) as done from its first line.
   void execute(const std::vector<ScenarioSpec>& scenarios,
-               const std::vector<u8>* skip, u32 threads,
+               const std::vector<Journaled>* journaled, u32 threads,
                const TrialSink& sink) const;
 
   [[nodiscard]] u32 resolve_threads(std::size_t pending) const;

@@ -182,6 +182,7 @@ JournalScan scan_journal(const std::string& dir) {
   if (scan.found) {
     scan.done.assign(scan.meta.scenarios.size(),
                      std::vector<u8>(scan.meta.trials_per_scenario, u8{0}));
+    scan.succeeded = scan.done;
   }
   const u32 trials = scan.meta.trials_per_scenario;
   for (LoadedShard& shard : journal.shards) {
@@ -204,6 +205,7 @@ JournalScan scan_journal(const std::string& dir) {
         u8& bit = scan.done[it->second][rec.result.trial];
         if (bit == 0) {
           bit = 1;
+          scan.succeeded[it->second][rec.result.trial] = rec.result.success;
           scan.records++;
         }
       }

@@ -40,6 +40,10 @@ struct JournalScan {
   std::vector<ShardState> shards;  ///< sorted by filename
   /// done[scenario][trial] != 0 iff a valid record exists for that pair.
   std::vector<std::vector<u8>> done;
+  /// succeeded[scenario][trial] != 0 iff that pair's record — the copy
+  /// from the first shard by name, the one JournalMerge yields — reports
+  /// a successful attack.
+  std::vector<std::vector<u8>> succeeded;
   u64 records = 0;  ///< distinct (scenario, trial) pairs journaled
 };
 

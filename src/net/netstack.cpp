@@ -1,5 +1,7 @@
 #include "net/netstack.h"
 
+#include <algorithm>
+
 #include "common/log.h"
 #include "obs/counters.h"
 #include "obs/provenance.h"
@@ -13,14 +15,13 @@ NetStack::NetStack(sim::Network& net, Ipv4Addr addr, StackConfig config,
       addr_(addr),
       config_(config),
       rng_(std::move(rng)),
-      reasm_(config.reassembly) {
+      reasm_(config.reassembly),
+      sweep_origin_(net.loop().now()) {
   ipid_global_ = rng_.next_u16();
   net_.attach(addr_, this);
-  schedule_expiry();
 }
 
 NetStack::~NetStack() {
-  destroyed_ = true;
   expiry_event_.cancel();
   net_.detach(addr_);
   // Fold the per-stack hot-path counters into the process registry once,
@@ -37,13 +38,21 @@ NetStack::~NetStack() {
   DNSTIME_COUNT_ADD("net.reasm_expired", reasm_.expired());
 }
 
-void NetStack::schedule_expiry() {
-  // Periodic reassembly-cache sweep at 1s granularity; cheap because the
-  // cache is keyed and bounded.
-  expiry_event_ = loop().schedule_after(sim::Duration::seconds(1), [this] {
-    if (destroyed_) return;
-    reasm_.expire(now());
-    schedule_expiry();
+void NetStack::arm_expiry(sim::Time oldest_first_seen) {
+  // Reassembly-cache sweeps sit on a 1 s grid anchored at the stack's
+  // construction. Only the grid instant that can expire the oldest cached
+  // datagram is armed: the first one strictly after now and no earlier
+  // than its deadline, which is the instant a sweep on every grid
+  // instant would have expired it (src/net/README.md, "Reassembly
+  // expiry").
+  const sim::Duration grid = sim::Duration::seconds(1);
+  const sim::Time due =
+      std::max(oldest_first_seen + config_.reassembly.timeout,
+               now() + sim::Duration::nanos(1));
+  const i64 since_origin = (due - sweep_origin_).ns();
+  const i64 k = since_origin / grid.ns() + (since_origin % grid.ns() != 0);
+  expiry_event_ = loop().schedule_at(sweep_origin_ + grid * k, [this] {
+    if (auto oldest = reasm_.expire(now())) arm_expiry(*oldest);
   });
 }
 
@@ -179,6 +188,11 @@ void NetStack::deliver(const Ipv4Packet& pkt) {
       return;
     }
     auto full = reasm_.insert(pkt, now());
+    // No sweep armed means the cache was empty, so whatever it holds now
+    // was first seen now.
+    if (reasm_.pending_datagrams() != 0 && !expiry_event_.valid()) {
+      arm_expiry(now());
+    }
     if (full) handle_transport(*full);
     return;
   }

@@ -11,6 +11,11 @@
 //  * fragment acceptance policy — the resolver-side attack surface measured
 //    in Table V and §VIII-A2 (e.g. Google's resolvers filter small frags);
 //  * reassembly timeout / cache caps — §IV-A boot-time attack economics.
+//
+// Cached fragments expire on a 1 s sweep grid anchored at the stack's
+// construction, but a sweep is only armed while the cache holds something,
+// for the grid instant the oldest datagram is due at: an idle stack
+// schedules nothing (src/net/README.md, "Reassembly expiry").
 #pragma once
 
 #include <functional>
@@ -132,7 +137,9 @@ class NetStack : public sim::PacketSink {
   void handle_transport(const Ipv4Packet& pkt);
   void handle_icmp(const Ipv4Packet& pkt);
   [[nodiscard]] u16 next_ipid(Ipv4Addr dst);
-  void schedule_expiry();
+  /// Arm the one reassembly sweep that expires the datagram first seen
+  /// at `oldest_first_seen` (see netstack.cpp).
+  void arm_expiry(sim::Time oldest_first_seen);
 
   sim::Network& net_;
   Ipv4Addr addr_;
@@ -152,8 +159,10 @@ class NetStack : public sim::PacketSink {
   u64 packets_tx_ = 0;
   u64 fragments_tx_ = 0;
   u64 datagrams_fragmented_ = 0;
+  /// Construction instant: origin of the 1 s reassembly-sweep grid.
+  sim::Time sweep_origin_;
+  /// The armed sweep; always armed while the reassembly cache is non-empty.
   sim::EventHandle expiry_event_;
-  bool destroyed_ = false;
 };
 
 }  // namespace dnstime::net

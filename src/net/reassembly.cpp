@@ -100,15 +100,19 @@ std::optional<Ipv4Packet> ReassemblyCache::try_complete(const Key& key,
   return full;
 }
 
-void ReassemblyCache::expire(sim::Time now) {
+std::optional<sim::Time> ReassemblyCache::expire(sim::Time now) {
+  std::optional<sim::Time> oldest;
   for (auto it = entries_.begin(); it != entries_.end();) {
-    if (now - it->second.first_seen >= policy_.timeout) {
+    const sim::Time first_seen = it->second.first_seen;
+    if (now - first_seen >= policy_.timeout) {
       it = erase_entry(it);
       expired_++;
     } else {
+      if (!oldest || first_seen < *oldest) oldest = first_seen;
       ++it;
     }
   }
+  return oldest;
 }
 
 std::size_t ReassemblyCache::count_pair(const Key& key) const {

@@ -36,8 +36,10 @@ class ReassemblyCache {
   /// arrival (so a planted spoofed fragment beats the genuine one).
   std::optional<Ipv4Packet> insert(const Ipv4Packet& frag, sim::Time now);
 
-  /// Drop datagrams older than the timeout.
-  void expire(sim::Time now);
+  /// Drop datagrams older than the timeout. Returns the oldest surviving
+  /// datagram's first-seen instant (computed in the same pass), or nothing
+  /// when the cache is left empty — the owner arms its next sweep from it.
+  std::optional<sim::Time> expire(sim::Time now);
 
   [[nodiscard]] std::size_t pending_datagrams() const { return entries_.size(); }
   [[nodiscard]] u64 completed() const { return completed_; }

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
+#include "common/buffer.h"
 #include "ntp/server.h"
+#include "obs/provenance.h"
 #include "scenario/world.h"
 
 namespace dnstime::attack {
@@ -105,6 +110,71 @@ TEST(RateLimitAbuser, StopCeasesFlooding) {
   world.run_for(Duration::seconds(10));
   EXPECT_EQ(abuser.packets_spoofed(), sent);
   EXPECT_EQ(abuser.active_targets(), 0u);
+}
+
+/// Records every packet the network delivers to one address.
+struct CapturingSink : sim::PacketSink {
+  std::vector<net::Ipv4Packet> packets;
+  void deliver(const net::Ipv4Packet& pkt) override { packets.push_back(pkt); }
+};
+
+/// The datagram the flood must put on the wire towards `server`, encoded
+/// from scratch.
+Bytes fresh_flood_datagram(Ipv4Addr server) {
+  ntp::NtpPacket query;
+  query.mode = ntp::Mode::kClient;
+  query.tx_time = 1.0;
+  return net::encode_udp(encode_ntp(query), kNtpPort, kNtpPort, kVictim,
+                         server)
+      .to_bytes();
+}
+
+TEST(RateLimitAbuser, EveryTickSendsEachTargetsOwnWireImage) {
+  BufferPool& pool = BufferPool::local();
+  sim::EventLoop loop;
+  sim::Network net{loop, Rng{1}};
+  net::NetStack attacker{net, Ipv4Addr{6, 6, 6, 6}, net::StackConfig{},
+                         Rng{2}};
+  const std::vector<Ipv4Addr> servers{Ipv4Addr{192, 0, 2, 1},
+                                      Ipv4Addr{192, 0, 2, 2}};
+  std::vector<CapturingSink> sinks(servers.size());
+  for (std::size_t i = 0; i < servers.size(); ++i) {
+    net.attach(servers[i], &sinks[i]);
+  }
+#if DNSTIME_OBS
+  obs::FlightRecorder flight;
+  obs::ScopedFlightRecorder install(&flight);
+#endif
+  const u64 before = pool.outstanding();
+  {
+    RateLimitAbuser abuser(attacker, kVictim);
+    abuser.disrupt_all(servers);
+    loop.run_for(Duration::seconds(4));
+  }
+  loop.run_all();  // packets still in flight land; nothing re-arms
+
+  // Each target's pseudo-header differs, so each keeps its own checksum.
+  ASSERT_NE(fresh_flood_datagram(servers[0]), fresh_flood_datagram(servers[1]));
+#if DNSTIME_OBS
+  std::set<u64> stamps;
+#endif
+  for (std::size_t i = 0; i < servers.size(); ++i) {
+    const Bytes expected = fresh_flood_datagram(servers[i]);
+    ASSERT_GE(sinks[i].packets.size(), 10u);
+    for (const net::Ipv4Packet& pkt : sinks[i].packets) {
+      EXPECT_EQ(pkt.src, kVictim);
+      EXPECT_EQ(pkt.dst, servers[i]);
+      EXPECT_EQ(pkt.payload.to_bytes(), expected);
+#if DNSTIME_OBS
+      // send_raw stamps every packet's own handle as spoofed.
+      EXPECT_TRUE(pkt.payload.origin().spoofed());
+      EXPECT_TRUE(stamps.insert(pkt.payload.origin().seq).second)
+          << "two packets share one provenance stamp";
+#endif
+    }
+    sinks[i].packets.clear();
+  }
+  EXPECT_EQ(pool.outstanding(), before);
 }
 
 }  // namespace

@@ -210,6 +210,7 @@ TEST(TrialJournal, DuplicateRecordsAcrossShardsCollapseToOne) {
   TrialResult first = random_result(rng, 2);
   TrialResult second = first;
   second.metric = 0.75;
+  second.success = !first.success;
   first.metric = 0.25;
   for (u32 id = 0; id < 2; ++id) {
     store::ShardWriter w(dir.path, meta, id);
@@ -225,6 +226,10 @@ TEST(TrialJournal, DuplicateRecordsAcrossShardsCollapseToOne) {
 
   store::JournalScan scan = store::scan_journal(dir.path);
   EXPECT_EQ(scan.records, 1u);  // distinct (scenario, trial) pairs
+  // The scan's success flag (the resumed progress stream counts it) is
+  // the surviving copy's.
+  EXPECT_EQ(scan.done[1][2], 1);
+  EXPECT_EQ(scan.succeeded[1][2] != 0, first.success);
 }
 
 TEST(TrialJournal, TornTailLosesOnlyTheFinalFrame) {

@@ -9,7 +9,10 @@
 #   4. --resume re-executes exactly the missing trials into fresh shards;
 #   5. the resumed report must be byte-identical to the baseline
 #      (cmake -E compare_files): thread count, crash and resume may change
-#      timing, never bytes.
+#      timing, never bytes;
+#   6. the resumed run's --progress stream counts the journaled trials as
+#      done: its last line shows campaign_done == campaign_total == the
+#      baseline run's trial count.
 #
 # Expects -DSWEEP=<path to example_campaign_sweep> and -DWORK_DIR=<scratch>.
 
@@ -36,7 +39,8 @@ endfunction()
 
 message(STATUS "resume_smoke: baseline single-thread run")
 run_sweep(baseline --threads 1 --journal "${WORK_DIR}/journal-base"
-          --out "${WORK_DIR}/report-base.txt")
+          --out "${WORK_DIR}/report-base.txt"
+          --progress "${WORK_DIR}/progress-base.jsonl")
 
 message(STATUS "resume_smoke: 4-thread run")
 set(journal "${WORK_DIR}/journal-t4")
@@ -60,7 +64,8 @@ math(EXPR before "${nshards} - 1")
 
 message(STATUS "resume_smoke: --resume after deleting one shard and tearing another")
 run_sweep(resumed --threads 4 --journal "${journal}" --resume
-          --out "${WORK_DIR}/report-resumed.txt")
+          --out "${WORK_DIR}/report-resumed.txt"
+          --progress "${WORK_DIR}/progress-resumed.jsonl")
 
 foreach(report report-t4 report-resumed)
   execute_process(
@@ -81,4 +86,30 @@ if(NOT after GREATER before)
           "resume left ${after} shards, started from ${before}: nothing re-ran")
 endif()
 
-message(STATUS "resume_smoke: reports byte-identical (${before} -> ${after} shards)")
+# Reads campaign_done and campaign_total from a progress stream's last line
+# into <out>_done and <out>_total.
+function(read_last_progress file out)
+  file(STRINGS "${file}" lines)
+  list(LENGTH lines n)
+  if(n EQUAL 0)
+    message(FATAL_ERROR "${file} has no progress lines")
+  endif()
+  list(GET lines -1 last)
+  string(JSON done GET "${last}" campaign_done)
+  string(JSON total GET "${last}" campaign_total)
+  set(${out}_done "${done}" PARENT_SCOPE)
+  set(${out}_total "${total}" PARENT_SCOPE)
+endfunction()
+
+read_last_progress("${WORK_DIR}/progress-base.jsonl" base)
+if(NOT base_done EQUAL base_total OR base_total LESS 2)
+  message(FATAL_ERROR "baseline progress ends at ${base_done}/${base_total}")
+endif()
+read_last_progress("${WORK_DIR}/progress-resumed.jsonl" resumed)
+if(NOT resumed_done EQUAL base_total OR NOT resumed_total EQUAL base_total)
+  message(FATAL_ERROR "resumed progress ends at ${resumed_done}/"
+                      "${resumed_total}, expected ${base_total}/${base_total}")
+endif()
+
+message(STATUS "resume_smoke: reports byte-identical (${before} -> ${after} shards), "
+               "progress ${resumed_done}/${resumed_total}")

@@ -156,5 +156,101 @@ TEST(NetStack, SpoofedRawPacketCarriesForgedSource) {
   EXPECT_EQ(from.addr, h.a.addr());  // victim believes it came from a
 }
 
+// --- Reassembly expiry ------------------------------------------------------
+// Sweeps are armed only while the cache holds something, at the instant of
+// the stack's 1 s grid (anchored at construction) that a sweep on every
+// grid instant would have expired the oldest datagram at.
+
+sim::Time at(Duration d) { return sim::Time{} + d; }
+
+/// A first fragment (MF set) that stays incomplete until it expires.
+Ipv4Packet orphan_fragment(Ipv4Addr dst, u16 id) {
+  Ipv4Packet frag;
+  frag.src = Ipv4Addr{6, 6, 6, 6};
+  frag.dst = dst;
+  frag.id = id;
+  frag.more_fragments = true;
+  frag.payload = Bytes(64, 0xEE);
+  return frag;
+}
+
+/// Delivers `frag` to `stack` at absolute time `when`, as the network would.
+void plant_at(NetStack& stack, Duration when, Ipv4Packet frag) {
+  stack.loop().schedule_at(at(when), [&stack, frag = std::move(frag)] {
+    stack.deliver(frag);
+  });
+}
+
+TEST(NetStackExpiry, OffSecondOriginKeepsTheGridOfConstruction) {
+  sim::EventLoop loop;
+  sim::Network net{loop, Rng{1}};
+  loop.run_until(at(Duration::millis(250)));
+  StackConfig cfg;
+  cfg.reassembly.timeout = Duration::seconds(5);
+  NetStack stack{net, Ipv4Addr{10, 0, 0, 1}, cfg, Rng{2}};
+  plant_at(stack, Duration::millis(3600), orphan_fragment(stack.addr(), 7));
+
+  // Due at 8.6 s; the grid runs 1.25 s, 2.25 s, ... so 9.25 s expires it.
+  loop.run_until(at(Duration::millis(9250) - Duration::nanos(1)));
+  EXPECT_EQ(stack.reassembly_cache().pending_datagrams(), 1u);
+  loop.run_until(at(Duration::millis(9250)));
+  EXPECT_EQ(stack.reassembly_cache().pending_datagrams(), 0u);
+  EXPECT_EQ(stack.reassembly_cache().expired(), 1u);
+  EXPECT_EQ(loop.pending(), 0u);  // an empty cache arms nothing
+}
+
+TEST(NetStackExpiry, IdleStacksScheduleNothing) {
+  TwoHosts h;
+  EXPECT_EQ(h.loop.pending(), 0u);
+  h.loop.run_all();  // returns: no sweep re-arms forever
+
+  // Unfragmented traffic never touches the reassembly cache.
+  bool got = false;
+  h.b.bind_udp(53, [&](const UdpEndpoint&, u16, BufView) { got = true; });
+  h.a.send_udp(h.b.addr(), 4444, 53, Bytes{1, 2, 3});
+  h.loop.run_all();
+  EXPECT_TRUE(got);
+  EXPECT_EQ(h.loop.pending(), 0u);
+}
+
+TEST(NetStackExpiry, CompletedDatagramLeavesOneSweepThatExpiresNothing) {
+  TwoHosts h;
+  std::size_t got = 0;
+  h.b.bind_udp(53, [&](const UdpEndpoint&, u16, BufView p) { got = p.size(); });
+  h.a.send_udp(h.b.addr(), 1, 53, Bytes(4000, 0xAB));
+  h.loop.run_for(Duration::seconds(1));
+  ASSERT_EQ(got, 4000u);
+  EXPECT_EQ(h.b.reassembly_cache().pending_datagrams(), 0u);
+  EXPECT_LE(h.loop.pending(), 1u);
+
+  h.loop.run_all();
+  EXPECT_EQ(h.b.reassembly_cache().expired(), 0u);
+  EXPECT_EQ(h.loop.pending(), 0u);
+}
+
+TEST(NetStackExpiry, SweepWithSurvivorsRearmsForTheOldest) {
+  sim::EventLoop loop;
+  sim::Network net{loop, Rng{1}};
+  StackConfig cfg;
+  cfg.reassembly.timeout = Duration::seconds(5);
+  NetStack stack{net, Ipv4Addr{10, 0, 0, 1}, cfg, Rng{2}};
+  plant_at(stack, Duration::millis(1500), orphan_fragment(stack.addr(), 1));
+  plant_at(stack, Duration::millis(3200), orphan_fragment(stack.addr(), 2));
+  plant_at(stack, Duration::millis(3900), orphan_fragment(stack.addr(), 3));
+  const ReassemblyCache& cache = stack.reassembly_cache();
+
+  // The first is due at 6.5 s and goes at 7 s; the sweep re-arms once.
+  loop.run_until(at(Duration::seconds(7)));
+  EXPECT_EQ(cache.pending_datagrams(), 2u);
+  EXPECT_EQ(loop.pending(), 1u);
+  // The other two are due at 8.2 s and 8.9 s: both go at 9 s.
+  loop.run_until(at(Duration::seconds(9) - Duration::nanos(1)));
+  EXPECT_EQ(cache.pending_datagrams(), 2u);
+  loop.run_until(at(Duration::seconds(9)));
+  EXPECT_EQ(cache.pending_datagrams(), 0u);
+  EXPECT_EQ(cache.expired(), 3u);
+  EXPECT_EQ(loop.pending(), 0u);
+}
+
 }  // namespace
 }  // namespace dnstime::net
